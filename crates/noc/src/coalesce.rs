@@ -1,11 +1,12 @@
 //! Packet-train coalescing fast path for [`PacketSim`](crate::PacketSim).
 //!
-//! The exact per-packet engine pays one heap event per packet per hop, so a
-//! 64 MB transfer (8192 packets) across 8 hops costs ~65k events. In the
-//! common case those per-packet events are pure overhead: the train's timing
-//! is fully determined by a small recurrence. This module advances whole
-//! trains, one event per (message, hop), collapsing the cost from
-//! O(packets × hops) to O(messages × hops).
+//! The exact per-packet engine does work per packet per hop, so a 64 MB
+//! transfer (8192 packets) across 8 hops costs ~65k packet-hops, most of
+//! them through its stream-head heap. In the common case that per-packet
+//! work is pure overhead: the train's timing is fully determined by a small
+//! recurrence. This module advances whole trains, one event per
+//! (message, hop), collapsing the cost from O(packets × hops) to
+//! O(messages × hops).
 //!
 //! # The start-curve recurrence
 //!

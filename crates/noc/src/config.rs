@@ -58,11 +58,12 @@ pub struct NocConfig {
     /// components. Timeline deaths are permanent, unlike
     /// [`LinkFlap`](meshcoll_topo::LinkFlap) windows.
     pub timeline: FaultTimeline,
-    /// Extra event budget granted to the packet engine's stall watchdog on
-    /// top of the structural bound `Σ packets × (hops + 1)`. Raise it for
-    /// experiments that legitimately re-examine events (it only delays
-    /// detection of a genuine deadlock); the default of 16 matches the
-    /// engine's historical slack.
+    /// Extra work budget granted to the packet engine's stall watchdog on
+    /// top of the structural bound `Σ packets × hops + messages` (one unit
+    /// per packet-hop, one per delivered message). A well-formed run never
+    /// needs any slack; raise it for experiments that legitimately redo
+    /// work (it only delays detection of a genuine deadlock). The default
+    /// of 16 matches the engine's historical slack.
     pub stall_budget_slack: u64,
 }
 

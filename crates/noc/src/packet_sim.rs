@@ -15,11 +15,13 @@
 //! Dependencies are honored at message granularity: a message is injected
 //! when all messages it depends on have delivered their last packet.
 //!
-//! Two engines implement these semantics. The exact per-packet engine pays
-//! one heap event per packet per hop; the packet-train coalescing fast path
-//! (see [`crate::coalesce`]) advances whole trains in O(messages × hops) and
-//! is used by default whenever no two trains interleave on a link. The
-//! [`SimMode`] policy selects between them.
+//! Two engines implement these semantics. The exact per-packet engine
+//! serves every packet at every hop, in the global `(time, seq)` order of a
+//! one-event-per-packet-hop simulation, but its heap holds only the head of
+//! each active (message, hop) stream (see `run_per_packet`); the
+//! packet-train coalescing fast path (see [`crate::coalesce`]) advances
+//! whole trains in O(messages × hops) and is used by default whenever no two
+//! trains interleave on a link. The [`SimMode`] policy selects between them.
 //!
 //! # Steady-state execution model
 //!
@@ -452,7 +454,8 @@ impl PacketSim {
         }
         // An erroring component aborts the partitioned attempt and the whole
         // DAG re-runs through the reference engine, which arbitrates FIFO
-        // order exactly and keeps error bookkeeping bit-identical.
+        // order exactly and keeps error bookkeeping bit-identical; a declined
+        // single-component DAG lands here directly.
         self.run_per_packet(mesh, messages, setup, sink)
     }
 
@@ -464,9 +467,11 @@ impl PacketSim {
     /// busy time, and traces are merged in component order, so the result
     /// is bit-identical for every thread count.
     ///
-    /// Returns `None` when any component *errors* — the caller then re-runs
-    /// the whole DAG through the reference engine so typed errors and their
-    /// bookkeeping stay bit-identical to an unpartitioned run.
+    /// Returns `None` when the whole DAG must run through the reference
+    /// engine instead: when any component *errors* (so typed errors and
+    /// their bookkeeping stay bit-identical to an unpartitioned run), and
+    /// when the whole-DAG fast-path attempt declined a DAG that partitions
+    /// into a single component (re-attempting it would decline again).
     fn run_components<T: TraceSink>(
         &self,
         mesh: &Mesh,
@@ -508,7 +513,8 @@ impl PacketSim {
         // (a taint-denied exact tie declines before committing). On decline
         // the partial busy time is zeroed and the partitioned path below
         // re-runs from scratch, isolating the contention to its component.
-        if want_threads <= 1 && !T::ENABLED {
+        let whole_first = want_threads <= 1 && !T::ENABLED;
+        if whole_first {
             // The identity map only ever grows — top it up, don't rebuild.
             let have = rs.ident.len();
             if have < n {
@@ -543,6 +549,11 @@ impl PacketSim {
             }
         }
         partition_into(mesh, messages, setup, &mut rs.parts);
+        if whole_first && rs.parts.ncomps() == 1 {
+            // The single component is the DAG the fast path just declined.
+            self.pools.put_outcome((completion, stats.into_busy()));
+            return None;
+        }
         let threads = want_threads.min(rs.parts.ncomps()).max(1);
         let ok = if threads <= 1 {
             self.run_comps_serial(
@@ -838,6 +849,7 @@ impl PacketSim {
         for (a, b) in busy.iter_mut().zip(out_c.link_stats().busy_slice()) {
             *a += b;
         }
+        self.recycle(out_c);
         true
     }
 
@@ -1003,6 +1015,29 @@ impl PacketSim {
     }
 
     /// The exact per-packet event loop (reference engine).
+    ///
+    /// Semantically every packet is one event per hop, served in global
+    /// `(time, seq)` order: it waits FIFO for its hop's link, holds the link
+    /// for its serialization plus the per-packet router overhead, and
+    /// reaches the next hop one header latency after winning the link.
+    ///
+    /// The loop never materializes those events. Within one message, packet
+    /// arrivals at any hop are already sorted by `(time, seq)` — each packet
+    /// holds the link before the next one can follow, and seqs grow in push
+    /// order — so the heap holds only the *head* of each active
+    /// `(message, hop)` stream, and popping stream heads reproduces the
+    /// per-packet pop order exactly:
+    ///
+    /// * hop 0 (injection): a message's packets share one arrival time and a
+    ///   contiguous seq block, so they always pop back to back; one heap
+    ///   entry serves the whole batch;
+    /// * hop 1: arrivals are replayed lazily from the hop-0 recurrence (the
+    ///   batch ran uninterrupted, so its link state is reproducible) rather
+    ///   than stored;
+    /// * hops ≥ 2: arrivals buffer in one slab, linked per stream.
+    ///
+    /// Only a message's final packet is delivered through the heap: earlier
+    /// deliveries have no effect, and seqs only need to stay monotone.
     pub(crate) fn run_per_packet<T: TraceSink>(
         &self,
         mesh: &Mesh,
@@ -1012,27 +1047,58 @@ impl PacketSim {
     ) -> Result<SimOutcome, NocError> {
         let n = messages.len();
         let blocked = &setup.blocked;
-        let faults = &self.cfg.faults;
+        let cfg = &self.cfg;
+        let faults = &cfg.faults;
+        let hop_lat = cfg.per_flit_latency_ns;
+        let mut links = LinkState::new(cfg, mesh, setup);
+        let (mut completion, busy) = self.pools.take_outcome();
+        completion.clear();
+        completion.resize(n, f64::NAN);
+        let mut stats = LinkStats::recycled(mesh, faults, busy);
 
-        // Dependency bookkeeping.
-        let mut pending_deps: Vec<usize> = messages.iter().map(|m| m.deps.len()).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Dependency bookkeeping: dependents in CSR form, each list in
+        // ascending id order (the order dependents are injected in).
+        let mut pending_deps: Vec<u32> = Vec::with_capacity(n);
+        let mut dep_off = vec![0u32; n + 1];
         for m in messages {
+            pending_deps.push(m.deps.len() as u32);
             for d in &m.deps {
-                dependents[d.index()].push(m.id.index() as u32);
+                dep_off[d.index() + 1] += 1;
             }
         }
+        for i in 0..n {
+            dep_off[i + 1] += dep_off[i];
+        }
+        let mut dependents = vec![0u32; dep_off[n] as usize];
+        for (i, m) in messages.iter().enumerate() {
+            for d in &m.deps {
+                let at = &mut dep_off[d.index()];
+                dependents[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        // Filling advanced each start to the next list's start; shift back.
+        dep_off.copy_within(0..n, 1);
+        dep_off[0] = 0;
         // Earliest start implied by explicit ready times; dependency
-        // completions fold in as they happen.
+        // completions fold in as they happen. Once a message is injected
+        // this is its injection time, which the hop-1 replay reads back.
         let mut earliest: Vec<f64> = messages.iter().map(|m| m.ready_at_ns).collect();
 
-        let mut link_free: Vec<f64> = vec![0.0; mesh.link_id_space()];
-        let mut stats = LinkStats::new(mesh, faults);
-        let mut completion = vec![f64::NAN; n];
-        let mut packets_left: Vec<u64> = messages
-            .iter()
-            .map(|m| self.cfg.packets_for(m.bytes))
-            .collect();
+        // Hop-1 replay state: the hop-0 start of the packet whose hop-1
+        // arrival heads the stream. Hop-1 seqs are contiguous (the batch
+        // took one per packet), so the next head's seq is the popped one's
+        // plus one.
+        let mut h1_start = vec![0.0f64; n];
+        // One buffered stream per (message, hop ≥ 2) link hop.
+        let mut stream_off = Vec::with_capacity(n + 1);
+        stream_off.push(0u32);
+        for i in 0..n {
+            let extra = setup.route(i).len().saturating_sub(2) as u32;
+            stream_off.push(stream_off[i] + extra);
+        }
+        let mut streams = vec![Stream::IDLE; stream_off[n] as usize];
+        let mut slab = Slab::EMPTY;
 
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq: u64 = 0;
@@ -1040,23 +1106,38 @@ impl PacketSim {
         let mut stalled = 0usize;
         let mut delivered = 0usize;
         let mut last_progress: f64 = 0.0;
-        // Watchdog budget: every packet produces exactly hops+1 events, so
-        // exceeding this count means the event loop is no longer making
-        // forward progress (defensive; cannot trip on well-formed input).
-        let event_budget: u64 = messages
+        // Watchdog budget: the loop does one unit of work per packet-hop
+        // plus one per delivered message, so exceeding this count means it
+        // is no longer making forward progress (defensive; cannot trip on
+        // well-formed input).
+        let work_budget: u64 = messages
             .iter()
             .enumerate()
-            .map(|(i, m)| self.cfg.packets_for(m.bytes) * (setup.route(i).len() as u64 + 1))
+            .map(|(i, m)| cfg.packets_for(m.bytes) * setup.route(i).len() as u64 + 1)
             .sum::<u64>()
-            .saturating_add(self.cfg.stall_budget_slack);
-        let mut events_popped: u64 = 0;
+            .saturating_add(cfg.stall_budget_slack);
+        let mut work: u64 = 0;
+        let mut tick = |at: f64, delivered: usize, last_progress: f64| {
+            work += 1;
+            if work > work_budget {
+                // Watchdog trip: no single culprit message/link to name.
+                return Err(NocError::Stalled {
+                    pending_msgs: n - delivered,
+                    last_progress_ns: last_progress as u64,
+                    first_blocked_msg: None,
+                    first_blocked_link: None,
+                    stalled_at_ns: at as u64,
+                });
+            }
+            Ok(())
+        };
 
         let inject = |heap: &mut BinaryHeap<Reverse<Event>>,
                       seq: &mut u64,
                       sink: &mut T,
                       id: usize,
                       at: f64| {
-            let count = self.cfg.packets_for(messages[id].bytes);
+            let count = cfg.packets_for(messages[id].bytes);
             if T::ENABLED {
                 sink.record(TraceEvent::Inject {
                     msg: messages[id].id,
@@ -1067,16 +1148,9 @@ impl PacketSim {
                     at_ns: at,
                 });
             }
-            for p in 0..count {
-                *seq += 1;
-                heap.push(Reverse(Event {
-                    at: Time(at),
-                    seq: *seq,
-                    msg: id as u32,
-                    packet: p as u32,
-                    hop: 0,
-                }));
-            }
+            // One entry stands for the whole seq block `seq+1 ..= seq+count`.
+            push(heap, at, *seq + 1, id, 0, 0);
+            *seq += count;
         };
 
         for (i, m) in messages.iter().enumerate() {
@@ -1090,89 +1164,129 @@ impl PacketSim {
             }
         }
 
-        let hop_lat = self.cfg.per_flit_latency_ns;
         while let Some(Reverse(ev)) = heap.pop() {
-            events_popped += 1;
-            if events_popped > event_budget {
-                // Watchdog trip: no single culprit message/link to name.
-                return Err(NocError::Stalled {
-                    pending_msgs: n - delivered,
-                    last_progress_ns: last_progress as u64,
-                    first_blocked_msg: None,
-                    first_blocked_link: None,
-                    stalled_at_ns: ev.at.0 as u64,
-                });
-            }
             let mi = ev.msg as usize;
+            let at = ev.at.0;
+            let hop = ev.hop as usize;
             let route = setup.route(mi);
-            if (ev.hop as usize) < route.len() {
-                // Packet contends for the link at this hop; a transient flap
-                // defers it until the link's next up window.
-                let link = route[ev.hop as usize];
-                let bytes = packet_bytes(&self.cfg, messages[mi].bytes, ev.packet as u64);
-                let ser = self.cfg.serialization_on(link, bytes);
-                let start = faults.available_at(link, ev.at.0.max(link_free[link.index()]));
-                // The link is held for the payload serialization plus the
-                // per-packet router pipeline overhead before the next packet
-                // can follow.
-                link_free[link.index()] = start + ser + self.cfg.per_packet_overhead_ns;
-                stats.add_busy(link, ser + self.cfg.per_packet_overhead_ns);
+            if hop == route.len() {
+                // The final packet arrived: the message is delivered.
+                tick(at, delivered, last_progress)?;
+                completion[mi] = at;
+                delivered += 1;
+                last_progress = last_progress.max(at);
+                if T::ENABLED {
+                    sink.record(TraceEvent::Deliver {
+                        msg: messages[mi].id,
+                        bytes: messages[mi].bytes,
+                        at_ns: at,
+                    });
+                }
+                for &d in &dependents[dep_off[mi] as usize..dep_off[mi + 1] as usize] {
+                    let di = d as usize;
+                    earliest[di] = earliest[di].max(at);
+                    pending_deps[di] -= 1;
+                    if pending_deps[di] == 0 {
+                        if blocked[di] {
+                            stalled += 1;
+                        } else {
+                            inject(&mut heap, &mut seq, sink, di, earliest[di]);
+                        }
+                        injected += 1;
+                    }
+                }
+                continue;
+            }
+            let total = messages[mi].bytes;
+            let count = cfg.packets_for(total);
+            let last = count - 1;
+            let bytes_of = |p: u64| {
+                if p < last {
+                    cfg.packet_bytes
+                } else {
+                    last_packet_bytes(cfg, total, count)
+                }
+            };
+            // One packet-hop: the packet contends for the link at this hop
+            // (a transient flap defers it until the link's next up window),
+            // then the link is held for serialization plus the per-packet
+            // router overhead.
+            let mut hop_once = |p: u64, seq: &mut u64, sink: &mut T| {
+                let link = route[hop];
+                let bytes = bytes_of(p);
+                let ser = links.serialization(link, bytes);
+                let start = links.serve(link, at, ser, stats.busy_mut());
                 if T::ENABLED {
                     sink.record(TraceEvent::PacketHop {
                         msg: messages[mi].id,
-                        packet: ev.packet as u64,
-                        hop: ev.hop,
+                        packet: p,
+                        hop: hop as u32,
                         link,
                         bytes,
-                        arrive_ns: ev.at.0,
+                        arrive_ns: at,
                         start_ns: start,
-                        busy_until_ns: link_free[link.index()],
+                        busy_until_ns: links.free[link.index()],
                     });
                 }
-                seq += 1;
-                let next_at = if (ev.hop as usize) + 1 < route.len() {
-                    // Cut-through: the header reaches the next router after
-                    // one per-flit latency; occupancies overlap.
-                    start + hop_lat
-                } else {
-                    // Final hop: the tail is delivered after full
-                    // serialization plus the hop latency.
-                    start + ser + hop_lat
-                };
-                heap.push(Reverse(Event {
-                    at: Time(next_at),
-                    seq,
-                    msg: ev.msg,
-                    packet: ev.packet,
-                    hop: ev.hop + 1,
-                }));
+                *seq += 1;
+                (start, ser)
+            };
+            let (p, start, ser) = if hop == 0 {
+                // Injection batch: every packet's first hop, back to back.
+                let mut served = (0.0, 0.0);
+                for p in 0..count {
+                    tick(at, delivered, last_progress)?;
+                    served = hop_once(p, &mut seq, sink);
+                    if p == 0 {
+                        h1_start[mi] = served.0;
+                    }
+                }
+                (last, served.0, served.1)
             } else {
-                // Delivered at destination.
-                packets_left[mi] -= 1;
-                if packets_left[mi] == 0 {
-                    completion[mi] = ev.at.0;
-                    delivered += 1;
-                    last_progress = last_progress.max(ev.at.0);
-                    if T::ENABLED {
-                        sink.record(TraceEvent::Deliver {
-                            msg: messages[mi].id,
-                            bytes: messages[mi].bytes,
-                            at_ns: ev.at.0,
-                        });
+                tick(at, delivered, last_progress)?;
+                let p = u64::from(ev.packet);
+                let (start, ser) = hop_once(p, &mut seq, sink);
+                (p, start, ser)
+            };
+            if hop + 1 < route.len() {
+                // Cut-through: the header reaches the next router after one
+                // per-flit latency; occupancies overlap.
+                let next_at = start + hop_lat;
+                if hop == 0 {
+                    // Packet 0 heads the lazily replayed hop-1 stream.
+                    let seq0 = seq - last;
+                    push(&mut heap, h1_start[mi] + hop_lat, seq0, mi, 0, 1);
+                } else {
+                    let s = stream_off[mi] as usize + hop - 1;
+                    if streams[s].live {
+                        streams[s].append(slab.alloc(next_at, seq), &mut slab);
+                    } else {
+                        streams[s].live = true;
+                        push(&mut heap, next_at, seq, mi, p, hop + 1);
                     }
-                    for &d in &dependents[mi] {
-                        let di = d as usize;
-                        earliest[di] = earliest[di].max(ev.at.0);
-                        pending_deps[di] -= 1;
-                        if pending_deps[di] == 0 {
-                            if blocked[di] {
-                                stalled += 1;
-                            } else {
-                                inject(&mut heap, &mut seq, sink, di, earliest[di]);
-                            }
-                            injected += 1;
-                        }
-                    }
+                }
+            } else if p == last {
+                // Final hop: the tail is delivered after full serialization
+                // plus the hop latency.
+                push(&mut heap, start + ser + hop_lat, seq, mi, p, hop + 1);
+            }
+            // Arm this stream's next head.
+            if hop == 1 {
+                debug_assert_eq!((h1_start[mi] + hop_lat).to_bits(), at.to_bits());
+                if p < last {
+                    // Replay the hop-0 recurrence for packet p+1 with the same
+                    // f64 operations, in the same order, as the batch.
+                    let link0 = route[0];
+                    let ser0 = links.serialization(link0, bytes_of(p));
+                    let free = h1_start[mi] + ser0 + cfg.per_packet_overhead_ns;
+                    h1_start[mi] = links.available(link0, earliest[mi].max(free));
+                    push(&mut heap, h1_start[mi] + hop_lat, ev.seq + 1, mi, p + 1, 1);
+                }
+            } else if hop >= 2 {
+                let s = stream_off[mi] as usize + hop - 2;
+                match streams[s].take(&mut slab) {
+                    Some((next_at, next_seq)) => push(&mut heap, next_at, next_seq, mi, p + 1, hop),
+                    None => streams[s].live = false,
                 }
             }
         }
@@ -1204,6 +1318,175 @@ impl PacketSim {
             });
         }
         Ok(SimOutcome::new(completion, stats))
+    }
+}
+
+/// Pushes one stream head onto the per-packet engine's heap.
+#[inline]
+fn push(
+    heap: &mut BinaryHeap<Reverse<Event>>,
+    at: f64,
+    seq: u64,
+    msg: usize,
+    packet: u64,
+    hop: usize,
+) {
+    heap.push(Reverse(Event {
+        at: Time(at),
+        seq,
+        msg: msg as u32,
+        packet: packet as u32,
+        hop: hop as u32,
+    }));
+}
+
+/// Per-link state of one per-packet run: when each link frees, plus the
+/// bandwidth and full-packet serialization time of every link a route
+/// uses, resolved once (a `bandwidth_of` lookup scans the overrides and
+/// hashes the degradation map) with the same division, so the bits match.
+struct LinkState<'a> {
+    free: Vec<f64>,
+    bandwidth: Vec<f64>,
+    full_ser: Vec<f64>,
+    packet_bytes: u64,
+    overhead: f64,
+    /// The fault model, only when transient flaps can defer a start.
+    flaps: Option<&'a meshcoll_topo::FaultModel>,
+}
+
+impl<'a> LinkState<'a> {
+    fn new(cfg: &'a NocConfig, mesh: &Mesh, setup: &RunSetup) -> Self {
+        let space = mesh.link_id_space();
+        let mut bandwidth = vec![f64::NAN; space];
+        let mut full_ser = vec![f64::NAN; space];
+        for route in &setup.unique {
+            for &l in route.iter() {
+                if bandwidth[l.index()].is_nan() {
+                    bandwidth[l.index()] = cfg.bandwidth_of(l);
+                    full_ser[l.index()] = cfg.serialization_on(l, cfg.packet_bytes);
+                }
+            }
+        }
+        LinkState {
+            free: vec![0.0; space],
+            bandwidth,
+            full_ser,
+            packet_bytes: cfg.packet_bytes,
+            overhead: cfg.per_packet_overhead_ns,
+            flaps: (!cfg.faults.flaps().is_empty()).then_some(&cfg.faults),
+        }
+    }
+
+    /// `cfg.serialization_on(link, bytes)`, bit for bit.
+    #[inline]
+    fn serialization(&self, link: LinkId, bytes: u64) -> f64 {
+        if bytes == self.packet_bytes {
+            self.full_ser[link.index()]
+        } else {
+            bytes as f64 / self.bandwidth[link.index()]
+        }
+    }
+
+    /// Earliest time `>= t` outside every flap window of `link`.
+    #[inline]
+    fn available(&self, link: LinkId, t: f64) -> f64 {
+        match self.flaps {
+            Some(faults) => faults.available_at(link, t),
+            None => t,
+        }
+    }
+
+    /// Serves one packet arriving at `at` on `link` FIFO behind the link's
+    /// previous occupant, charging the busy time; returns its start.
+    #[inline]
+    fn serve(&mut self, link: LinkId, at: f64, ser: f64, busy: &mut [f64]) -> f64 {
+        let li = link.index();
+        let start = self.available(link, at.max(self.free[li]));
+        self.free[li] = start + ser + self.overhead;
+        busy[li] += ser + self.overhead;
+        start
+    }
+}
+
+/// Slab index meaning "no node".
+const NIL: u32 = u32::MAX;
+
+/// One buffered packet arrival at a hop ≥ 2, linked to the next arrival of
+/// the same stream (or the next free node).
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: f64,
+    seq: u64,
+    next: u32,
+}
+
+/// Flat storage for every buffered arrival, with a free list: one
+/// allocation for the whole run instead of one queue per stream.
+#[derive(Debug)]
+struct Slab {
+    nodes: Vec<Arrival>,
+    free: u32,
+}
+
+impl Slab {
+    const EMPTY: Slab = Slab {
+        nodes: Vec::new(),
+        free: NIL,
+    };
+
+    fn alloc(&mut self, at: f64, seq: u64) -> u32 {
+        let node = Arrival { at, seq, next: NIL };
+        if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        }
+    }
+}
+
+/// One `(message, hop ≥ 2)` stream: whether its head sits in the heap, and
+/// the FIFO of arrivals buffered behind that head.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    live: bool,
+    head: u32,
+    tail: u32,
+}
+
+impl Stream {
+    const IDLE: Stream = Stream {
+        live: false,
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn append(&mut self, node: u32, slab: &mut Slab) {
+        if self.tail == NIL {
+            self.head = node;
+        } else {
+            slab.nodes[self.tail as usize].next = node;
+        }
+        self.tail = node;
+    }
+
+    /// Unlinks the oldest buffered arrival, returning its `(at, seq)`.
+    fn take(&mut self, slab: &mut Slab) -> Option<(f64, u64)> {
+        if self.head == NIL {
+            return None;
+        }
+        let i = self.head;
+        let a = slab.nodes[i as usize];
+        self.head = a.next;
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        slab.nodes[i as usize].next = slab.free;
+        slab.free = i;
+        Some((a.at, a.seq))
     }
 }
 
@@ -1673,6 +1956,33 @@ mod tests {
             ),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn watchdog_budget_needs_no_slack_on_congested_runs() {
+        // The budget counts exactly the loop's work — one unit per
+        // packet-hop plus one per delivered message — so a congested run
+        // over multi-hop routes, remainder packets, dependencies and a flap
+        // completes with zero slack, bit-identical to a roomy budget.
+        let mesh = Mesh::new(1, 5).unwrap();
+        let mut msgs: Vec<Message> = (0..4)
+            .map(|i| Message::new(MsgId(i), NodeId(i), NodeId(4), 8192 * 6 + 100 * i as u64))
+            .collect();
+        msgs.push(
+            Message::new(MsgId(4), NodeId(4), NodeId(0), 8192 * 3).with_deps([MsgId(0), MsgId(3)]),
+        );
+        let mut c = cfg();
+        c.faults.add_flap(meshcoll_topo::LinkFlap {
+            link: mesh.link_between(NodeId(3), NodeId(4)).unwrap(),
+            down_ns: 500.0,
+            up_ns: 2_000.0,
+        });
+        let roomy = PacketSim::new(c.clone())
+            .run_reference(&mesh, &msgs)
+            .unwrap();
+        c.stall_budget_slack = 0;
+        let tight = PacketSim::new(c).run_reference(&mesh, &msgs).unwrap();
+        assert_eq!(tight.completions(), roomy.completions());
     }
 
     #[test]
