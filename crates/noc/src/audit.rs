@@ -154,8 +154,8 @@ pub enum Violation {
         dropped_bytes: u64,
     },
     /// An event of a resumed segment precedes the splice point: the online
-    /// orchestration let repaired-suffix traffic start before the drain
-    /// plus charged repair latency.
+    /// orchestration let repaired-suffix traffic start before its resume
+    /// time.
     SpliceCausality {
         /// The offending event's time, ns.
         at_ns: f64,

@@ -1423,9 +1423,8 @@ pub(crate) fn run_subset<T: TraceSink>(
 }
 
 /// Runs the whole message DAG at train granularity with freshly allocated
-/// state — the whole-DAG compatibility entry point used by the online
-/// engine and the `run_coalesced` probes, preserving global (cross-
-/// component) taint semantics. The partitioned steady-state path in
+/// state — the whole-DAG entry point of the `run_coalesced` probes,
+/// preserving global (cross-component) taint semantics. The partitioned steady-state path in
 /// `PacketSim` calls [`run_subset`] with pooled scratch instead.
 pub(crate) fn run<T: TraceSink>(
     cfg: &NocConfig,

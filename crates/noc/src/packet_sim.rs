@@ -22,6 +22,10 @@
 //! packet-train coalescing fast path (see [`crate::coalesce`]) advances
 //! whole trains in O(messages × hops) and is used by default whenever no two
 //! trains interleave on a link. The [`SimMode`] policy selects between them.
+//! Runs under a [`FaultTimeline`](meshcoll_topo::FaultTimeline) (see
+//! [`crate::online`]) use the same two engines and the same partition
+//! driver: the per-packet loop takes per-link death times, and a fast-path
+//! result counts only when it finishes by the earliest death it could meet.
 //!
 //! # Steady-state execution model
 //!
@@ -54,6 +58,7 @@ use meshcoll_topo::{LinkId, Mesh, RouteCache};
 
 use crate::coalesce::{self, Attempt, Coalesce, WorkScratch};
 use crate::message::validate_one;
+use crate::online::Drain;
 use crate::trace::{MemorySink, NullSink, TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutcome};
 
@@ -106,11 +111,6 @@ impl RunSetup {
     #[inline]
     pub(crate) fn route(&self, i: usize) -> &[LinkId] {
         &self.unique[self.route_of[i] as usize]
-    }
-
-    /// Message `i`'s route as a shared handle (for sub-problem setups).
-    pub(crate) fn route_arc(&self, i: usize) -> Arc<[LinkId]> {
-        Arc::clone(&self.unique[self.route_of[i] as usize])
     }
 }
 
@@ -224,6 +224,17 @@ impl WorkerScratch {
 /// Buffered per-component trace events, tagged with the component index so
 /// the parallel merge can flush them in deterministic component order.
 type Traces = Vec<(usize, Vec<TraceEvent>)>;
+
+/// What every component of one partitioned run shares: the run's inputs,
+/// its partition, and the per-link reciprocal bandwidths.
+#[derive(Clone, Copy)]
+struct Comps<'a> {
+    mesh: &'a Mesh,
+    messages: &'a [Message],
+    setup: &'a RunSetup,
+    parts: &'a PartitionScratch,
+    bw: &'a [f64],
+}
 
 /// Buffer pools persisting across runs (and shared by clones) so the
 /// steady-state simulate path allocates nothing after warmup.
@@ -409,44 +420,49 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
-        if !self.cfg.timeline.is_empty() {
-            // Timed mid-run faults need the online per-packet machinery; the
-            // coalescing fast path is only used for components the timeline
-            // cannot touch (see `simulate_online`). A run interrupted by a
-            // fault has undeliverable messages, which this completion-only
-            // entry point reports as a (first-blocked-enriched) stall; use
-            // `simulate_online` to drain and repair instead.
-            let setup = self.prepare(mesh, messages)?;
-            let report = self.online_with_setup(mesh, messages, &setup, sink)?;
-            return match report.interruption {
-                None => Ok(report.outcome),
-                Some(snap) => Err(snap.into_stall_error()),
-            };
+        // A run interrupted by a timed fault has undeliverable messages,
+        // which this completion-only entry point reports as a
+        // (first-blocked-enriched) stall; `simulate_online` drains instead.
+        let report = self.simulate_online(mesh, messages, sink)?;
+        match report.interruption {
+            None => Ok(report.outcome),
+            Some(snap) => Err(snap.into_stall_error()),
         }
+    }
+
+    /// Prepares the run into pooled scratch (see `prepare_into`) and hands
+    /// the setup to `run`.
+    pub(crate) fn with_setup<R>(
+        &self,
+        mesh: &Mesh,
+        messages: &[Message],
+        run: impl FnOnce(&RunSetup) -> Result<R, NocError>,
+    ) -> Result<R, NocError> {
         let mut rs = self.pools.take_run();
-        let result = match self.prepare_into(mesh, messages, &mut rs) {
-            Ok(()) => self.simulate_static(mesh, messages, &rs.setup, sink),
-            Err(e) => Err(e),
-        };
+        let result = self
+            .prepare_into(mesh, messages, &mut rs)
+            .and_then(|()| run(&rs.setup));
         self.pools.put_run(rs);
         result
     }
 
-    /// The timeline-free simulation body: partitioned fast path with
-    /// per-component fallback under [`SimMode::Auto`], per-packet reference
-    /// otherwise. Shared by [`PacketSim::simulate_traced`] and the online
-    /// engine (which routes timeline-unaffected components through it
-    /// unchanged).
-    pub(crate) fn simulate_static<T: TraceSink>(
+    /// The simulation body: partitioned fast path with per-component
+    /// fallback under [`SimMode::Auto`], per-packet reference otherwise.
+    /// With a [`Drain`] the run executes against its per-link death times
+    /// and records what it delivered and lost there; a fast-path result
+    /// counts only when it finishes by the earliest death on its routes.
+    pub(crate) fn simulate_prepared<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
+        mut drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
         if self.mode == SimMode::Auto && self.cfg.faults.flaps().is_empty() {
             let mut rs = self.pools.take_run();
-            let out = self.run_components(mesh, messages, setup, &mut rs, sink);
+            let out =
+                self.run_components(mesh, messages, setup, &mut rs, drain.as_deref_mut(), sink);
             self.pools.put_run(rs);
             if let Some(out) = out {
                 return Ok(out);
@@ -456,7 +472,7 @@ impl PacketSim {
         // DAG re-runs through the reference engine, which arbitrates FIFO
         // order exactly and keeps error bookkeeping bit-identical; a declined
         // single-component DAG lands here directly.
-        self.run_per_packet(mesh, messages, setup, sink)
+        self.run_per_packet(mesh, messages, setup, drain, sink)
     }
 
     /// Partition-first execution: splits the DAG into link- and
@@ -472,15 +488,25 @@ impl PacketSim {
     /// their bookkeeping stay bit-identical to an unpartitioned run), and
     /// when the whole-DAG fast-path attempt declined a DAG that partitions
     /// into a single component (re-attempting it would decline again).
+    ///
+    /// With a `drain`, components run serially, and a fast-path result is
+    /// accepted only when its makespan is at most the earliest death on
+    /// its routes: every packet starts before it delivers, so no start can
+    /// then land in a dead window, and the static result is exact. A
+    /// rejected component runs the per-packet loop with the death times.
     fn run_components<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
         rs: &mut RunScratch,
+        mut drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> Option<SimOutcome> {
         let n = messages.len();
+        if let Some(d) = drain.as_deref_mut() {
+            d.reset(n);
+        }
         let link_space = mesh.link_id_space();
         // Reciprocal bandwidth per link: the coalescing engine multiplies
         // instead of dividing on its per-event path (tens of cycles saved
@@ -494,7 +520,7 @@ impl PacketSim {
         // outcome buffers) costs more than it saves, so small DAGs always
         // take the sequential path. The merge is identical either way, so
         // this is invisible in the results — only in the wall-clock.
-        let want_threads = if n < PAR_MIN_MESSAGES {
+        let want_threads = if n < PAR_MIN_MESSAGES || drain.is_some() {
             1
         } else {
             self.resolved_run_threads()
@@ -535,16 +561,27 @@ impl PacketSim {
                 sink,
             );
             self.pools.put_work(w);
+            // The whole makespan bounds every component's, and the earliest
+            // death on any route bounds every component's earliest death.
+            let in_time = |completion: &[f64]| {
+                drain.as_deref().is_none_or(|d| {
+                    completion.iter().copied().fold(0.0, f64::max)
+                        <= d.earliest_death(setup.unique.iter().map(|r| &**r))
+                })
+            };
             match attempt {
-                Ok(Attempt::Done) => return Some(SimOutcome::new(completion, stats)),
-                Ok(Attempt::Contended) => {
+                Ok(Attempt::Done) if in_time(&completion) => {
+                    return Some(SimOutcome::new(completion, stats));
+                }
+                Err(_) if drain.is_none() => {
+                    self.pools.put_outcome((completion, stats.into_busy()));
+                    return None;
+                }
+                // Declined, late, or an error a component may drain past.
+                _ => {
                     for b in stats.busy_mut() {
                         *b = 0.0;
                     }
-                }
-                Err(_) => {
-                    self.pools.put_outcome((completion, stats.into_busy()));
-                    return None;
                 }
             }
         }
@@ -554,30 +591,18 @@ impl PacketSim {
             self.pools.put_outcome((completion, stats.into_busy()));
             return None;
         }
+        let cx = Comps {
+            mesh,
+            messages,
+            setup,
+            parts: &rs.parts,
+            bw: &rs.bw,
+        };
         let threads = want_threads.min(rs.parts.ncomps()).max(1);
         let ok = if threads <= 1 {
-            self.run_comps_serial(
-                mesh,
-                messages,
-                setup,
-                &rs.parts,
-                &rs.bw,
-                &mut completion,
-                &mut stats,
-                sink,
-            )
+            self.run_comps_serial(cx, &mut completion, &mut stats, drain, sink)
         } else {
-            self.run_comps_parallel(
-                mesh,
-                messages,
-                setup,
-                &rs.parts,
-                &rs.bw,
-                threads,
-                &mut completion,
-                &mut stats,
-                sink,
-            )
+            self.run_comps_parallel(cx, threads, &mut completion, &mut stats, sink)
         };
         if ok {
             Some(SimOutcome::new(completion, stats))
@@ -589,43 +614,34 @@ impl PacketSim {
 
     /// Runs every component on the calling thread, in component order,
     /// writing the shared outcome buffers directly (the zero-alloc
-    /// steady-state path).
-    #[allow(clippy::too_many_arguments)]
+    /// steady-state path). Like the parallel path, a traced run buffers
+    /// every component's events and flushes them only once all components
+    /// succeeded, so an erroring component leaves `sink` untouched.
     fn run_comps_serial<T: TraceSink>(
         &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        parts: &PartitionScratch,
-        bw: &[f64],
+        cx: Comps,
         completion: &mut [f64],
         stats: &mut LinkStats,
+        mut drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> bool {
         let mut w = self.pools.take_work();
-        let mut ok = true;
-        {
-            let WorkerScratch { co, new_id, .. } = &mut w;
-            for c in 0..parts.ncomps() {
-                if !self.run_one_comp(
-                    mesh,
-                    messages,
-                    setup,
-                    parts.members(c),
-                    &parts.g2l,
-                    bw,
-                    co,
-                    new_id,
-                    completion,
-                    stats.busy_mut(),
-                    sink,
-                ) {
-                    ok = false;
-                    break;
-                }
+        let mut buf = MemorySink::new();
+        let WorkerScratch { co, new_id, .. } = &mut w;
+        let ok = (0..cx.parts.ncomps()).all(|c| {
+            let (busy, drain) = (stats.busy_mut(), drain.as_deref_mut());
+            if T::ENABLED {
+                self.run_one_comp(cx, c, co, new_id, completion, busy, drain, &mut buf)
+            } else {
+                self.run_one_comp(cx, c, co, new_id, completion, busy, drain, sink)
+            }
+        });
+        self.pools.put_work(w);
+        if ok {
+            for ev in buf.events() {
+                sink.record(*ev);
             }
         }
-        self.pools.put_work(w);
         ok
     }
 
@@ -636,22 +652,17 @@ impl PacketSim {
     /// exactly one worker and every other contribution is an exact `+0.0`),
     /// and traces are sorted by component index before flushing — making
     /// the outcome bit-identical to the serial path.
-    #[allow(clippy::too_many_arguments)]
     fn run_comps_parallel<T: TraceSink>(
         &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        parts: &PartitionScratch,
-        bw: &[f64],
+        cx: Comps,
         threads: usize,
         completion: &mut [f64],
         stats: &mut LinkStats,
         sink: &mut T,
     ) -> bool {
-        let ncomps = parts.ncomps();
-        let n = messages.len();
-        let link_space = mesh.link_id_space();
+        let ncomps = cx.parts.ncomps();
+        let n = cx.messages.len();
+        let link_space = cx.mesh.link_id_space();
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         let finished: Mutex<Vec<(WorkerScratch, Traces)>> = Mutex::new(Vec::with_capacity(threads));
@@ -674,47 +685,22 @@ impl PacketSim {
                         let WorkerScratch {
                             co,
                             new_id,
-                            completion,
+                            completion: done,
                             busy,
                             ..
                         } = &mut w;
+                        let mut buf = MemorySink::new();
                         let ok = if T::ENABLED {
-                            let mut buf = MemorySink::new();
-                            let ok = self.run_one_comp(
-                                mesh,
-                                messages,
-                                setup,
-                                parts.members(c),
-                                &parts.g2l,
-                                bw,
-                                co,
-                                new_id,
-                                completion,
-                                busy,
-                                &mut buf,
-                            );
-                            if ok {
-                                traces.push((c, buf.events().to_vec()));
-                            }
-                            ok
+                            self.run_one_comp(cx, c, co, new_id, done, busy, None, &mut buf)
                         } else {
-                            self.run_one_comp(
-                                mesh,
-                                messages,
-                                setup,
-                                parts.members(c),
-                                &parts.g2l,
-                                bw,
-                                co,
-                                new_id,
-                                completion,
-                                busy,
-                                &mut NullSink,
-                            )
+                            self.run_one_comp(cx, c, co, new_id, done, busy, None, &mut NullSink)
                         };
                         if !ok {
                             failed.store(true, Ordering::Relaxed);
                             break;
+                        }
+                        if T::ENABLED {
+                            traces.push((c, buf.events().to_vec()));
                         }
                     }
                     finished.lock().expect("worker results").push((w, traces));
@@ -727,7 +713,7 @@ impl PacketSim {
             let busy = stats.busy_mut();
             for (w, _) in &finished {
                 for &c in &w.mine {
-                    for &g in parts.members(c as usize) {
+                    for &g in cx.parts.members(c as usize) {
                         completion[g as usize] = w.completion[g as usize];
                     }
                 }
@@ -754,95 +740,124 @@ impl PacketSim {
         ok
     }
 
-    /// Simulates one component: fast path first, per-packet fallback when
+    /// Simulates component `c`: fast path first, per-packet fallback when
     /// the component's own links are contended. Returns `false` on any
     /// error, which aborts the partitioned attempt (the caller re-runs the
     /// whole DAG through the reference engine). Trace events reach `sink`
     /// only from the engine that completed the component, with global ids.
+    ///
+    /// With a `drain`, a fast-path result counts only when it finishes by
+    /// the earliest death on the component's routes; otherwise (or when the
+    /// attempt errs, which the per-packet loop may drain past) the
+    /// component runs the per-packet loop with the death times. A component
+    /// no death can reach keeps full static semantics.
     #[allow(clippy::too_many_arguments)]
     fn run_one_comp<T: TraceSink>(
         &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        members: &[u32],
-        g2l: &[u32],
-        bw: &[f64],
+        cx: Comps,
+        c: usize,
         co: &mut WorkScratch,
         new_id: &mut Vec<u32>,
         completion: &mut [f64],
         busy: &mut [f64],
+        mut drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> bool {
+        let Comps {
+            mesh,
+            messages,
+            setup,
+            parts,
+            bw,
+        } = cx;
+        let members = parts.members(c);
+        let routes = || members.iter().map(|&g| setup.route(g as usize));
+        let death = drain
+            .as_deref()
+            .map_or(f64::INFINITY, |d| d.earliest_death(routes()));
+        let reachable = death < f64::INFINITY;
+        // Buffer a traced attempt so a mid-run decline leaves no partial
+        // trace in the caller's sink.
+        let mut buf = MemorySink::new();
+        let g2l = &parts.g2l;
         let attempt = if T::ENABLED {
-            // Buffer the attempt so a mid-run decline leaves no partial
-            // trace in the caller's sink.
-            let mut buf = MemorySink::new();
-            let r = coalesce::run_subset(
+            coalesce::run_subset(
                 &self.cfg, mesh, messages, setup, members, g2l, bw, co, completion, busy, &mut buf,
-            );
-            if matches!(r, Ok(Attempt::Done)) {
-                for ev in buf.events() {
-                    sink.record(*ev);
-                }
-            }
-            r
+            )
         } else {
             coalesce::run_subset(
                 &self.cfg, mesh, messages, setup, members, g2l, bw, co, completion, busy, sink,
             )
         };
-        match attempt {
-            Ok(Attempt::Done) => true,
-            Ok(Attempt::Contended) => self.run_comp_fallback(
-                mesh, messages, setup, members, new_id, completion, busy, sink,
-            ),
-            Err(_) => false,
+        let fast = match attempt {
+            Ok(Attempt::Done) => {
+                let makespan = members.iter().map(|&g| completion[g as usize]);
+                !reachable || makespan.fold(0.0, f64::max) <= death
+            }
+            Ok(Attempt::Contended) => false,
+            Err(_) if reachable => false,
+            Err(_) => return false,
+        };
+        if fast {
+            for ev in buf.events() {
+                sink.record(*ev);
+            }
+        } else {
+            // Only a component a death can reach runs the per-packet loop
+            // with the death times, and so drains itself.
+            let d = drain.as_deref_mut().filter(|_| reachable);
+            let ok = self.run_comp_fallback(cx, members, new_id, completion, busy, d, sink);
+            if !ok || reachable {
+                return ok;
+            }
         }
+        if let Some(d) = drain {
+            d.absorb_clean(&self.cfg, messages, members, routes(), completion);
+        }
+        true
     }
 
     /// Per-packet fallback for one contended component. The declined
     /// fast-path attempt may have charged partial busy time, so the
     /// component's links (its exclusive property — components are
     /// link-disjoint) are zeroed before the reference run's busy time is
-    /// merged back in.
+    /// merged back in. With a `drain`, the component runs against its
+    /// death times and its drain bookkeeping is merged back in too.
     #[allow(clippy::too_many_arguments)]
     fn run_comp_fallback<T: TraceSink>(
         &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
+        cx: Comps,
         members: &[u32],
         new_id: &mut Vec<u32>,
         completion: &mut [f64],
         busy: &mut [f64],
+        drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> bool {
         for &g in members {
-            for &l in setup.route(g as usize) {
+            for &l in cx.setup.route(g as usize) {
                 busy[l.index()] = 0.0;
             }
         }
         new_id.clear();
-        new_id.resize(messages.len(), 0);
-        let (msgs_c, setup_c) = component_problem(messages, setup, members, new_id);
+        new_id.resize(cx.messages.len(), 0);
+        let (msgs_c, setup_c) = component_problem(cx.messages, cx.setup, members, new_id);
+        let mut part = drain.as_deref().map(|d| Drain::new(d.death));
+        let mut buf = MemorySink::new();
         let out_c = if T::ENABLED {
-            let mut buf = MemorySink::new();
-            match self.run_per_packet(mesh, &msgs_c, &setup_c, &mut buf) {
-                Ok(o) => {
-                    for ev in buf.events() {
-                        sink.record(remap_msg(*ev, members));
-                    }
-                    o
-                }
-                Err(_) => return false,
-            }
+            self.run_per_packet(cx.mesh, &msgs_c, &setup_c, part.as_mut(), &mut buf)
         } else {
-            match self.run_per_packet(mesh, &msgs_c, &setup_c, sink) {
-                Ok(o) => o,
-                Err(_) => return false,
-            }
+            self.run_per_packet(cx.mesh, &msgs_c, &setup_c, part.as_mut(), sink)
         };
+        let Ok(out_c) = out_c else {
+            return false;
+        };
+        for ev in buf.events() {
+            sink.record(remap_msg(*ev, members));
+        }
+        if let (Some(d), Some(part)) = (drain, &part) {
+            d.absorb(part, members);
+        }
         for (j, &g) in members.iter().enumerate() {
             completion[g as usize] = out_c.completions()[j];
         }
@@ -873,8 +888,9 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
-        let setup = self.prepare(mesh, messages)?;
-        self.run_per_packet(mesh, messages, &setup, sink)
+        self.with_setup(mesh, messages, |setup| {
+            self.run_per_packet(mesh, messages, setup, None, sink)
+        })
     }
 
     /// Attempts only the coalescing fast path on the *whole* DAG (global
@@ -905,46 +921,37 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<Option<SimOutcome>, NocError> {
-        let setup = self.prepare(mesh, messages)?;
-        if !self.cfg.faults.flaps().is_empty() {
-            return Ok(None);
-        }
-        if T::ENABLED {
+        self.with_setup(mesh, messages, |setup| {
+            if !self.cfg.faults.flaps().is_empty() {
+                return Ok(None);
+            }
             let mut buf = MemorySink::new();
-            match coalesce::run(&self.cfg, mesh, messages, &setup, &mut buf)? {
+            let attempt = if T::ENABLED {
+                coalesce::run(&self.cfg, mesh, messages, setup, &mut buf)?
+            } else {
+                coalesce::run(&self.cfg, mesh, messages, setup, sink)?
+            };
+            Ok(match attempt {
                 Coalesce::Done(out) => {
                     for ev in buf.events() {
                         sink.record(*ev);
                     }
-                    Ok(Some(out))
+                    Some(out)
                 }
-                Coalesce::Contended => Ok(None),
-            }
-        } else {
-            match coalesce::run(&self.cfg, mesh, messages, &setup, sink)? {
-                Coalesce::Done(out) => Ok(Some(out)),
-                Coalesce::Contended => Ok(None),
-            }
-        }
+                Coalesce::Contended => None,
+            })
+        })
     }
 
     /// Validates the DAG, resolves routes through the shared cache, and
     /// flags messages that can never deliver because their route crosses a
     /// permanently dead link (or dead chiplet) — rather than waiting forever
-    /// the engines report those as stalled. Allocating variant for the
-    /// online engine and one-shot probes; the steady-state path uses
-    /// `prepare_into` with pooled scratch.
-    pub(crate) fn prepare(&self, mesh: &Mesh, messages: &[Message]) -> Result<RunSetup, NocError> {
-        let mut rs = RunScratch::default();
-        self.prepare_into(mesh, messages, &mut rs)?;
-        Ok(rs.setup)
-    }
-
-    /// `prepare` into reusable scratch. The dense per-pair memo keeps the
-    /// shared cache's lock+hash cost off the per-message path, the blocked
-    /// flag is computed once per unique route, and DAG validation is folded
-    /// into the same pass (per message: dense-id/payload/endpoint/dep
-    /// checks first, then node-range checks — one sweep instead of two).
+    /// the engines report those as stalled. Writes into reusable scratch:
+    /// the dense per-pair memo keeps the shared cache's lock+hash cost off
+    /// the per-message path, the blocked flag is computed once per unique
+    /// route, and DAG validation is folded into the same pass (per message:
+    /// dense-id/payload/endpoint/dep checks first, then node-range checks —
+    /// one sweep instead of two).
     fn prepare_into(
         &self,
         mesh: &Mesh,
@@ -1038,14 +1045,29 @@ impl PacketSim {
     ///
     /// Only a message's final packet is delivered through the heap: earlier
     /// deliveries have no effect, and seqs only need to stay monotone.
+    ///
+    /// With a [`Drain`], links die at its per-link death times: a packet
+    /// whose start on a link would fall at or past the link's death is
+    /// dropped there (taking no seq and no busy time), and a message that
+    /// becomes ready after a route link died is withheld, never injected.
+    /// A message's packets reach each link in index order and a link's
+    /// availability only moves forward, so its drops on a link form a
+    /// suffix of its packets: the batch, the hop-1 replay and the
+    /// final-packet delivery stay exact. Static-fault stalls and watchdog
+    /// trips stay typed errors; an interrupted run skips the
+    /// dependency-cycle check (its undelivered messages are the suffix).
     pub(crate) fn run_per_packet<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
+        mut drain: Option<&mut Drain>,
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
         let n = messages.len();
+        if let Some(d) = drain.as_deref_mut() {
+            d.reset(n);
+        }
         let blocked = &setup.blocked;
         let cfg = &self.cfg;
         let faults = &cfg.faults;
@@ -1107,9 +1129,9 @@ impl PacketSim {
         let mut delivered = 0usize;
         let mut last_progress: f64 = 0.0;
         // Watchdog budget: the loop does one unit of work per packet-hop
-        // plus one per delivered message, so exceeding this count means it
-        // is no longer making forward progress (defensive; cannot trip on
-        // well-formed input).
+        // (served or dropped) plus one per delivered message, so exceeding
+        // this count means it is no longer making forward progress
+        // (defensive; cannot trip on well-formed input).
         let work_budget: u64 = messages
             .iter()
             .enumerate()
@@ -1153,11 +1175,24 @@ impl PacketSim {
             *seq += count;
         };
 
+        // A message becoming ready after a route link died belongs to the
+        // un-executed suffix: it is withheld rather than injected to die
+        // downstream.
+        let withheld = |drain: &mut Option<&mut Drain>, i: usize, at: f64| {
+            drain
+                .as_deref_mut()
+                .is_some_and(|d| d.withholds(setup.route(i), at))
+        };
+        let death_of = |drain: &Option<&mut Drain>, link: LinkId| {
+            drain
+                .as_deref()
+                .map_or(f64::INFINITY, |d| d.death[link.index()])
+        };
         for (i, m) in messages.iter().enumerate() {
             if pending_deps[i] == 0 {
                 if blocked[i] {
                     stalled += 1;
-                } else {
+                } else if !withheld(&mut drain, i, m.ready_at_ns) {
                     inject(&mut heap, &mut seq, sink, i, m.ready_at_ns);
                 }
                 injected += 1;
@@ -1189,7 +1224,7 @@ impl PacketSim {
                     if pending_deps[di] == 0 {
                         if blocked[di] {
                             stalled += 1;
-                        } else {
+                        } else if !withheld(&mut drain, di, earliest[di]) {
                             inject(&mut heap, &mut seq, sink, di, earliest[di]);
                         }
                         injected += 1;
@@ -1207,15 +1242,36 @@ impl PacketSim {
                     last_packet_bytes(cfg, total, count)
                 }
             };
+            let final_hop = hop + 1 == route.len();
+            let dies = death_of(&drain, route[hop]);
             // One packet-hop: the packet contends for the link at this hop
             // (a transient flap defers it until the link's next up window),
             // then the link is held for serialization plus the per-packet
-            // router overhead.
+            // router overhead — unless the link died first (`start >=
+            // dies`), which drops the packet where it stands.
             let mut hop_once = |p: u64, seq: &mut u64, sink: &mut T| {
                 let link = route[hop];
                 let bytes = bytes_of(p);
+                let start = links.start(link, at);
+                if start >= dies {
+                    let at = at.max(dies);
+                    if let Some(d) = drain.as_deref_mut() {
+                        d.drop_packet(at, messages[mi].id, link, bytes);
+                    }
+                    if T::ENABLED {
+                        sink.record(TraceEvent::PacketDrop {
+                            msg: messages[mi].id,
+                            packet: p,
+                            hop: hop as u32,
+                            link,
+                            bytes,
+                            at_ns: at,
+                        });
+                    }
+                    return (start, 0.0);
+                }
                 let ser = links.serialization(link, bytes);
-                let start = links.serve(link, at, ser, stats.busy_mut());
+                links.hold(link, start, ser, stats.busy_mut());
                 if T::ENABLED {
                     sink.record(TraceEvent::PacketHop {
                         msg: messages[mi].id,
@@ -1229,32 +1285,77 @@ impl PacketSim {
                     });
                 }
                 *seq += 1;
+                if let Some(d) = drain.as_deref_mut().filter(|_| final_hop) {
+                    d.delivered_bytes[mi] += bytes;
+                    d.end_ns = d.end_ns.max(start + ser + hop_lat);
+                }
                 (start, ser)
             };
+            let won = |start: f64| start < dies;
             let (p, start, ser) = if hop == 0 {
                 // Injection batch: every packet's first hop, back to back.
+                // The packets that won the link form a prefix.
                 let mut served = (0.0, 0.0);
+                let mut won0 = 0;
                 for p in 0..count {
                     tick(at, delivered, last_progress)?;
                     served = hop_once(p, &mut seq, sink);
+                    if won(served.0) {
+                        debug_assert_eq!(won0, p, "drops form a suffix");
+                        won0 += 1;
+                    }
                     if p == 0 {
                         h1_start[mi] = served.0;
                     }
                 }
-                (last, served.0, served.1)
+                if won0 == 0 {
+                    continue;
+                }
+                // Past the prefix only `p` matters: a dropped tail has no
+                // final-packet delivery, and the hop-1 head is packet 0.
+                (won0 - 1, served.0, served.1)
             } else {
                 tick(at, delivered, last_progress)?;
                 let p = u64::from(ev.packet);
                 let (start, ser) = hop_once(p, &mut seq, sink);
+                // Arm this stream's next head (a dropped packet's stream
+                // goes on: its successors arrive and drop in turn).
+                if hop == 1 {
+                    debug_assert_eq!((h1_start[mi] + hop_lat).to_bits(), at.to_bits());
+                    if p < last {
+                        // Replay the hop-0 recurrence for packet p+1 with the
+                        // same f64 operations, in the same order, as the
+                        // batch; a replayed start past the link's death is a
+                        // packet the batch dropped, and so is every later one.
+                        let link0 = route[0];
+                        let ser0 = links.serialization(link0, bytes_of(p));
+                        let free = h1_start[mi] + ser0 + cfg.per_packet_overhead_ns;
+                        h1_start[mi] = links.available(link0, earliest[mi].max(free));
+                        if h1_start[mi] < death_of(&drain, link0) {
+                            push(&mut heap, h1_start[mi] + hop_lat, ev.seq + 1, mi, p + 1, 1);
+                        }
+                    }
+                } else {
+                    let s = stream_off[mi] as usize + hop - 2;
+                    match streams[s].take(&mut slab) {
+                        Some((next_at, next_seq)) => {
+                            push(&mut heap, next_at, next_seq, mi, p + 1, hop);
+                        }
+                        None => streams[s].live = false,
+                    }
+                }
+                if !won(start) {
+                    continue;
+                }
                 (p, start, ser)
             };
-            if hop + 1 < route.len() {
+            if !final_hop {
                 // Cut-through: the header reaches the next router after one
                 // per-flit latency; occupancies overlap.
                 let next_at = start + hop_lat;
                 if hop == 0 {
                     // Packet 0 heads the lazily replayed hop-1 stream.
-                    let seq0 = seq - last;
+                    let seq0 = seq - p;
                     push(&mut heap, h1_start[mi] + hop_lat, seq0, mi, 0, 1);
                 } else {
                     let s = stream_off[mi] as usize + hop - 1;
@@ -1267,27 +1368,12 @@ impl PacketSim {
                 }
             } else if p == last {
                 // Final hop: the tail is delivered after full serialization
-                // plus the hop latency.
+                // plus the hop latency. Drops form a suffix, so every
+                // earlier packet delivered too.
+                debug_assert!(drain
+                    .as_deref()
+                    .is_none_or(|d| d.delivered_bytes[mi] == total));
                 push(&mut heap, start + ser + hop_lat, seq, mi, p, hop + 1);
-            }
-            // Arm this stream's next head.
-            if hop == 1 {
-                debug_assert_eq!((h1_start[mi] + hop_lat).to_bits(), at.to_bits());
-                if p < last {
-                    // Replay the hop-0 recurrence for packet p+1 with the same
-                    // f64 operations, in the same order, as the batch.
-                    let link0 = route[0];
-                    let ser0 = links.serialization(link0, bytes_of(p));
-                    let free = h1_start[mi] + ser0 + cfg.per_packet_overhead_ns;
-                    h1_start[mi] = links.available(link0, earliest[mi].max(free));
-                    push(&mut heap, h1_start[mi] + hop_lat, ev.seq + 1, mi, p + 1, 1);
-                }
-            } else if hop >= 2 {
-                let s = stream_off[mi] as usize + hop - 2;
-                match streams[s].take(&mut slab) {
-                    Some((next_at, next_seq)) => push(&mut heap, next_at, next_seq, mi, p + 1, hop),
-                    None => streams[s].live = false,
-                }
             }
         }
 
@@ -1312,7 +1398,13 @@ impl PacketSim {
                 stalled_at_ns: last_progress as u64,
             });
         }
-        if injected < n {
+        let mut interrupted = false;
+        if let Some(d) = drain {
+            // Every busy interval ends at its link's final `free` time.
+            d.end_ns = links.free.iter().copied().fold(d.end_ns, f64::max);
+            interrupted = d.interrupted;
+        }
+        if !interrupted && injected < n {
             return Err(NocError::DependencyCycle {
                 stuck: n - injected,
             });
@@ -1396,15 +1488,20 @@ impl<'a> LinkState<'a> {
         }
     }
 
-    /// Serves one packet arriving at `at` on `link` FIFO behind the link's
-    /// previous occupant, charging the busy time; returns its start.
+    /// When a packet arriving at `at` on `link` starts, FIFO behind the
+    /// link's previous occupant.
     #[inline]
-    fn serve(&mut self, link: LinkId, at: f64, ser: f64, busy: &mut [f64]) -> f64 {
+    fn start(&self, link: LinkId, at: f64) -> f64 {
+        self.available(link, at.max(self.free[link.index()]))
+    }
+
+    /// Holds `link` from `start` for `ser` plus the per-packet overhead,
+    /// charging the busy time.
+    #[inline]
+    fn hold(&mut self, link: LinkId, start: f64, ser: f64, busy: &mut [f64]) {
         let li = link.index();
-        let start = self.available(link, at.max(self.free[li]));
         self.free[li] = start + ser + self.overhead;
         busy[li] += ser + self.overhead;
-        start
     }
 }
 
@@ -1492,7 +1589,7 @@ impl Stream {
 
 /// Totally ordered f64 event key (all simulation times are finite).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Time(pub(crate) f64);
+struct Time(f64);
 
 impl Eq for Time {}
 impl PartialOrd for Time {
@@ -1507,12 +1604,12 @@ impl Ord for Time {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Event {
-    pub(crate) at: Time,
-    pub(crate) seq: u64,
-    pub(crate) msg: u32,
-    pub(crate) packet: u32,
-    pub(crate) hop: u32,
+struct Event {
+    at: Time,
+    seq: u64,
+    msg: u32,
+    packet: u32,
+    hop: u32,
 }
 
 impl NetworkSim for PacketSim {
@@ -1641,19 +1738,11 @@ fn partition_into(mesh: &Mesh, messages: &[Message], setup: &RunSetup, ps: &mut 
     }
 }
 
-/// Allocating wrapper over [`partition_into`] for the online engine:
-/// partitions the message DAG and returns the components as owned member
-/// lists (global ids, first-appearance order, members in id order).
-pub(crate) fn partition(mesh: &Mesh, messages: &[Message], setup: &RunSetup) -> Vec<Vec<u32>> {
-    let mut ps = PartitionScratch::default();
-    partition_into(mesh, messages, setup, &mut ps);
-    (0..ps.ncomps()).map(|c| ps.members(c).to_vec()).collect()
-}
-
-/// Builds the standalone sub-problem for one component of [`partition`]:
-/// messages with dense remapped ids (recorded in `new_id`, a scratch array
-/// of global length) and the matching route/blocked setup.
-pub(crate) fn component_problem(
+/// Builds the standalone sub-problem for one component of
+/// [`partition_into`]: messages with dense remapped ids (recorded in
+/// `new_id`, a scratch array of global length) and the matching
+/// route/blocked setup.
+fn component_problem(
     messages: &[Message],
     setup: &RunSetup,
     comp: &[u32],
@@ -1671,7 +1760,10 @@ pub(crate) fn component_problem(
                 .with_ready_at(m.ready_at_ns)
         })
         .collect();
-    let unique: Vec<Arc<[LinkId]>> = comp.iter().map(|&i| setup.route_arc(i as usize)).collect();
+    let unique: Vec<Arc<[LinkId]>> = comp
+        .iter()
+        .map(|&i| Arc::clone(&setup.unique[setup.route_of[i as usize] as usize]))
+        .collect();
     let route_of: Vec<u32> = (0..comp.len() as u32).collect();
     let blocked: Vec<bool> = comp.iter().map(|&i| setup.blocked[i as usize]).collect();
     (
@@ -1685,9 +1777,9 @@ pub(crate) fn component_problem(
 }
 
 /// Rewrites a component-local trace event's message id back to the global
-/// DAG's id (`comp[local] == global`); used when the scoped fallback flushes
-/// buffered component traces to the caller's sink.
-pub(crate) fn remap_msg(ev: TraceEvent, comp: &[u32]) -> TraceEvent {
+/// DAG's id (`comp[local] == global`); used when the per-component fallback
+/// flushes its buffered trace to the caller's sink.
+fn remap_msg(ev: TraceEvent, comp: &[u32]) -> TraceEvent {
     let orig = |m: MsgId| MsgId(comp[m.index()] as usize);
     let mut ev = ev;
     match &mut ev {
@@ -1713,17 +1805,6 @@ pub(crate) fn last_packet_bytes(cfg: &NocConfig, total_bytes: u64, count: u64) -
         cfg.packet_bytes
     } else {
         rem
-    }
-}
-
-/// Size of packet `idx` within a `total_bytes` message (the last packet
-/// carries the remainder).
-pub(crate) fn packet_bytes(cfg: &NocConfig, total_bytes: u64, idx: u64) -> u64 {
-    let count = cfg.packets_for(total_bytes);
-    if idx + 1 < count {
-        cfg.packet_bytes
-    } else {
-        last_packet_bytes(cfg, total_bytes, count)
     }
 }
 
@@ -1895,10 +1976,10 @@ mod tests {
     #[test]
     fn packet_bytes_splits_remainder() {
         let c = cfg();
-        assert_eq!(packet_bytes(&c, 8192, 0), 8192);
-        assert_eq!(packet_bytes(&c, 10000, 0), 8192);
-        assert_eq!(packet_bytes(&c, 10000, 1), 1808);
-        assert_eq!(packet_bytes(&c, 100, 0), 100);
+        assert_eq!(last_packet_bytes(&c, 8192, 1), 8192);
+        assert_eq!(last_packet_bytes(&c, 8192 * 3, 3), 8192);
+        assert_eq!(last_packet_bytes(&c, 10000, 2), 1808);
+        assert_eq!(last_packet_bytes(&c, 100, 1), 100);
     }
 
     #[test]
@@ -2169,6 +2250,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn traced_auto_error_leaves_only_the_reference_trace() {
+        // Component 0 finishes on the fast path before component 1 meets
+        // its dead route, so the whole DAG re-runs through the reference
+        // engine: the sink must hold that run's events and nothing else.
+        let mesh = Mesh::new(1, 4).unwrap();
+        let mut c = cfg();
+        c.faults
+            .fail_link_between(&mesh, NodeId(2), NodeId(3))
+            .unwrap();
+        let msgs = vec![
+            Message::new(MsgId(0), NodeId(0), NodeId(1), 8192 * 3),
+            Message::new(MsgId(1), NodeId(2), NodeId(3), 8192),
+        ];
+        let sim = PacketSim::new(c);
+        let mut auto = MemorySink::new();
+        let err = sim.simulate_traced(&mesh, &msgs, &mut auto).unwrap_err();
+        let mut reference = MemorySink::new();
+        let expect = sim
+            .run_reference_traced(&mesh, &msgs, &mut reference)
+            .unwrap_err();
+        assert_eq!(format!("{err:?}"), format!("{expect:?}"));
+        assert_eq!(auto.events(), reference.events());
     }
 
     #[test]

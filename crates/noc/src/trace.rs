@@ -161,7 +161,7 @@ pub enum TraceEvent {
     /// by the orchestration layer). Every later event in the stream must
     /// occur at or after `at_ns`.
     Resume {
-        /// Resume time (drain time plus charged repair latency), ns.
+        /// Resume time (the drain time of the interrupted segment), ns.
         at_ns: f64,
         /// Messages in the repaired suffix.
         suffix_msgs: u64,

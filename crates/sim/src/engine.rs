@@ -81,7 +81,8 @@ pub enum RunStatus {
         /// Timestamp of the first fault arrival that interrupted a
         /// segment, ns.
         at_ns: f64,
-        /// Total wall-clock repair latency charged into the makespan, ns.
+        /// Total measured wall-clock repair latency, ns: reported for
+        /// observability, not charged into the simulated makespan.
         repair_ns: f64,
         /// Online repairs performed (one per interrupting fault batch).
         attempts: usize,
