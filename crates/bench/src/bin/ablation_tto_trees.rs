@@ -32,7 +32,8 @@ fn main() {
     let bandwidths = runner.run(&sides, |&n| {
         let mesh = Mesh::square(n).unwrap_or_else(|e| panic!("{n}x{n} mesh: {e}"));
         let three = {
-            let s = tto::schedule(&mesh, data)
+            let s = Algorithm::Tto
+                .schedule(&mesh, data)
                 .unwrap_or_else(|e| panic!("TTO schedule on {mesh}: {e}"));
             let r = engine_ref
                 .run(&mesh, &s)

@@ -5,8 +5,8 @@ use std::fmt;
 
 use meshcoll_topo::Mesh;
 
-use crate::stream::{replay, OpSink};
-use crate::{dbtree, hdrm, multitree, ring, ring2d, ring_bi, ring_bi_odd, tto};
+use crate::stream::OpSink;
+use crate::{dbtree, multitree, ring, ring2d, ring_bi, ring_bi_odd, tto};
 use crate::{CollectiveError, Schedule};
 
 /// Every AllReduce algorithm in the paper's evaluation.
@@ -20,6 +20,13 @@ pub enum Algorithm {
     /// Topology-oblivious Double Binary Tree [59].
     DBTree,
     /// Halving-doubling with rank mapping [14] (BiGraph only).
+    ///
+    /// At step `s` every node exchanges half of its remaining range with a
+    /// partner at rank distance `2^s`, which EFLOPS's BiGraph fabric serves
+    /// contention-free. On a mesh those partner pairs become long,
+    /// overlapping XY routes with no structural guarantee, which is why the
+    /// paper's Table I calls HDRM inapplicable to meshes: it has a verdict
+    /// and a reason, not a schedule.
     HalvingDoubling,
     /// Topology-aware MultiTree [31].
     MultiTree,
@@ -183,7 +190,9 @@ impl Algorithm {
         self.schedule_with(mesh, data_bytes, &ScheduleOptions::default())
     }
 
-    /// Like [`Algorithm::schedule`] with explicit options.
+    /// Like [`Algorithm::schedule`] with explicit options: the ops
+    /// [`Algorithm::emit_with`] generates, collected into a [`Schedule`]
+    /// named [`Algorithm::name`].
     ///
     /// # Errors
     ///
@@ -194,30 +203,24 @@ impl Algorithm {
         data_bytes: u64,
         opts: &ScheduleOptions,
     ) -> Result<Schedule, CollectiveError> {
-        match self {
-            Algorithm::Ring => ring::schedule(mesh, data_bytes),
-            Algorithm::Ring2D => ring2d::schedule(mesh, data_bytes),
-            Algorithm::DBTree => dbtree::schedule_with(mesh, data_bytes, opts.dbtree_segment_bytes),
-            Algorithm::HalvingDoubling => hdrm::schedule(mesh, data_bytes),
-            Algorithm::MultiTree => multitree::schedule(mesh, data_bytes),
-            Algorithm::RingBiEven => ring_bi::schedule(mesh, data_bytes),
-            Algorithm::RingBiOdd => ring_bi_odd::schedule(mesh, data_bytes),
-            Algorithm::Tto => tto::schedule_with(mesh, data_bytes, opts.tto_chunk_bytes),
-        }
+        let mut b = Schedule::builder(self.name(), data_bytes);
+        self.emit_with(mesh, data_bytes, opts, &mut b)?;
+        Ok(b.build())
     }
 
     /// Streams this algorithm's ops into `sink` instead of materializing a
-    /// [`Schedule`] — the entry point for O(messages)-memory lowering at
-    /// 1,000+ chiplets (see [`crate::stream`]).
+    /// [`Schedule`] — the one generator dispatch behind both
+    /// [`Algorithm::schedule_with`] (whose [`ScheduleBuilder`] is a sink)
+    /// and O(messages)-memory lowering at 1,000+ chiplets (see
+    /// [`crate::stream`]). Every algorithm generates natively into the
+    /// sink, so streamed and materialized op sequences are identical by
+    /// construction.
     ///
-    /// Ring, RingBiEven, RingBiOdd, MultiTree, and TTO generate natively
-    /// into the sink (no intermediate schedule); the remaining baselines
-    /// materialize internally and [`replay`] — their op sequences are
-    /// identical either way, only the peak memory differs.
+    /// [`ScheduleBuilder`]: crate::ScheduleBuilder
     ///
     /// # Errors
     ///
-    /// As for [`Algorithm::schedule_with`]. Errors detected mid-generation
+    /// As for [`Algorithm::schedule`]. Errors detected mid-generation
     /// (e.g. a pipelined chunk too small to split) leave the sink holding a
     /// valid prefix of the schedule; callers must discard it.
     pub fn emit_with(
@@ -229,26 +232,22 @@ impl Algorithm {
     ) -> Result<(), CollectiveError> {
         match self {
             Algorithm::Ring => ring::emit(mesh, data_bytes, sink),
+            Algorithm::Ring2D => ring2d::emit(mesh, data_bytes, sink),
+            Algorithm::DBTree => {
+                dbtree::emit_with(mesh, data_bytes, opts.dbtree_segment_bytes, sink)
+            }
+            Algorithm::HalvingDoubling => Err(CollectiveError::Inapplicable {
+                algorithm: "HDRM",
+                rows: mesh.rows(),
+                cols: mesh.cols(),
+                reason: "halving-doubling requires a BiGraph interconnect; its power-of-two \
+                         partner exchanges have no contention-free mesh embedding",
+            }),
+            Algorithm::MultiTree => multitree::emit(mesh, data_bytes, sink),
             Algorithm::RingBiEven => ring_bi::emit(mesh, data_bytes, sink),
             Algorithm::RingBiOdd => ring_bi_odd::emit(mesh, data_bytes, sink),
-            Algorithm::MultiTree => multitree::emit(mesh, data_bytes, sink),
             Algorithm::Tto => tto::emit_with(mesh, data_bytes, opts.tto_chunk_bytes, sink),
-            Algorithm::Ring2D | Algorithm::DBTree | Algorithm::HalvingDoubling => {
-                let s = self.schedule_with(mesh, data_bytes, opts)?;
-                replay(&s, sink);
-                Ok(())
-            }
         }
-    }
-
-    /// `true` when [`Algorithm::emit_with`] generates directly into the
-    /// sink (O(live ops) generation state); `false` for the baselines that
-    /// materialize internally and replay.
-    pub fn streams_natively(self) -> bool {
-        !matches!(
-            self,
-            Algorithm::Ring2D | Algorithm::DBTree | Algorithm::HalvingDoubling
-        )
     }
 
     /// The bidirectional ring variant matching the mesh parity, the pairing
@@ -324,6 +323,17 @@ mod tests {
                 let s = a.schedule_with(&mesh, 9 * 512, &opts).unwrap();
                 verify::check_allreduce(&mesh, &s).unwrap_or_else(|e| panic!("{a}: {e}"));
             }
+        }
+    }
+
+    #[test]
+    fn hdrm_is_never_applicable_on_mesh() {
+        for (r, c) in [(2, 2), (8, 8), (9, 9)] {
+            let mesh = Mesh::new(r, c).unwrap();
+            assert!(matches!(
+                Algorithm::HalvingDoubling.schedule(&mesh, 1 << 20),
+                Err(CollectiveError::Inapplicable { .. })
+            ));
         }
     }
 

@@ -17,34 +17,28 @@
 
 use meshcoll_topo::{Mesh, NodeId, Tree};
 
-use crate::schedule::split_bytes;
+use crate::schedule::{split_bytes, split_range};
+use crate::stream::OpSink;
 use crate::tree_common::TreePlan;
-use crate::{CollectiveError, Schedule};
+use crate::CollectiveError;
 
 /// Default pipeline segment size (bytes); matches TTO's default chunk for a
 /// fair comparison.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 98_304;
 
-/// Builds the DBTree schedule with the default segment size.
-///
-/// # Errors
-///
-/// See [`schedule_with`].
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    schedule_with(mesh, data_bytes, DEFAULT_SEGMENT_BYTES)
-}
-
-/// Builds the DBTree schedule with an explicit pipeline segment size.
+/// Streams the DBTree ops for `data_bytes` of gradient per node into
+/// `sink`, pipelined over `segment_bytes` segments.
 ///
 /// # Errors
 ///
 /// * [`CollectiveError::Inapplicable`] on a single-node mesh,
 /// * [`CollectiveError::DataTooSmall`] when `data_bytes < 2`.
-pub fn schedule_with(
+pub(crate) fn emit_with(
     mesh: &Mesh,
     data_bytes: u64,
     segment_bytes: u64,
-) -> Result<Schedule, CollectiveError> {
+    sink: &mut dyn OpSink,
+) -> Result<(), CollectiveError> {
     let n = mesh.nodes();
     if n < 2 {
         return Err(CollectiveError::Inapplicable {
@@ -61,17 +55,16 @@ pub fn schedule_with(
     ];
     let plans: Vec<TreePlan> = trees.iter().map(|t| TreePlan::new(t, n)).collect();
 
-    let mut b = Schedule::builder("DBTree", data_bytes);
-    b.set_participants(mesh.node_ids().collect());
+    sink.set_participants(mesh.node_ids().collect());
     let mut scratch = Vec::new();
     for (plan, half) in plans.iter().zip(halves) {
         let segments = segment_count(half.1, segment_bytes);
-        for (off, len) in crate::schedule::split_range(half.0, half.0 + half.1, segments)? {
-            let root_done = plan.reduce_ops(&mut b, (off, off + len), 0, &mut scratch);
-            plan.gather_ops(&mut b, (off, off + len), 0, &root_done, &mut scratch);
+        for (off, len) in split_range(half.0, half.0 + half.1, segments)? {
+            let root_done = plan.reduce_ops(sink, (off, off + len), 0, &mut scratch);
+            plan.gather_ops(sink, (off, off + len), 0, &root_done, &mut scratch);
         }
     }
-    Ok(b.build())
+    Ok(())
 }
 
 fn segment_count(bytes: u64, segment_bytes: u64) -> u64 {
@@ -170,7 +163,19 @@ fn build_tree(n: usize, variant: Variant) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify;
+    use crate::{verify, Algorithm, Schedule, ScheduleOptions};
+
+    fn schedule_with(
+        mesh: &Mesh,
+        data_bytes: u64,
+        segment_bytes: u64,
+    ) -> Result<Schedule, CollectiveError> {
+        let opts = ScheduleOptions {
+            dbtree_segment_bytes: segment_bytes,
+            ..ScheduleOptions::default()
+        };
+        Algorithm::DBTree.schedule_with(mesh, data_bytes, &opts)
+    }
 
     #[test]
     fn in_order_tree_is_connected_for_all_sizes() {
@@ -238,7 +243,7 @@ mod tests {
     fn single_node_is_inapplicable() {
         let mesh = Mesh::new(1, 1).unwrap();
         assert!(matches!(
-            schedule(&mesh, 1024),
+            Algorithm::DBTree.schedule(&mesh, 1024),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }

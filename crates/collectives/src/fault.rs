@@ -27,9 +27,8 @@ use meshcoll_topo::{
 };
 
 use crate::ring_common::{no_entry, ring_all_gather, ring_reduce_scatter, Feeder};
-use crate::schedule::{split_bytes, split_range, OpId};
-use crate::tree_common::TreePlan;
-use crate::{multitree, Algorithm, CollectiveError, Schedule, ScheduleOptions};
+use crate::schedule::OpId;
+use crate::{multitree, tto, Algorithm, CollectiveError, Schedule, ScheduleOptions};
 
 /// One violation found by [`lint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,24 +422,8 @@ fn emit_tto_schedule(
     data_bytes: u64,
     chunk_bytes: u64,
 ) -> Result<Schedule, CollectiveError> {
-    let plans: Vec<TreePlan> = trees
-        .iter()
-        .map(|t| TreePlan::new(t, mesh.nodes()))
-        .collect();
-    let chunk_count = data_bytes.div_ceil(chunk_bytes.max(1)).max(1);
-    let chunks = split_bytes(data_bytes, chunk_count)?;
-
     let mut b = Schedule::builder("TTO-repair", data_bytes);
-    b.set_participants(participants);
-    let mut scratch: Vec<OpId> = Vec::new();
-    for (c, (coff, clen)) in chunks.iter().enumerate() {
-        let parts = split_range(*coff, coff + clen, trees.len() as u64)?;
-        for (plan, (off, len)) in plans.iter().zip(parts) {
-            let range = (off, off + len);
-            let root_done = plan.reduce_ops(&mut b, range, c as u32, &mut scratch);
-            plan.gather_ops(&mut b, range, c as u32, &root_done, &mut scratch);
-        }
-    }
+    tto::emit_chunks(&mut b, mesh, trees, participants, data_bytes, chunk_bytes)?;
     Ok(b.build())
 }
 

@@ -15,13 +15,16 @@
 //!
 //! plus every baseline the paper evaluates against: unidirectional [`ring`],
 //! hierarchical [`ring2d`], topology-oblivious [`dbtree`], topology-aware
-//! [`multitree`], even-mesh bidirectional [`ring_bi`], and the [`hdrm`]
-//! applicability verdict.
+//! [`multitree`], and even-mesh bidirectional [`ring_bi`] — and the
+//! [`Algorithm::HalvingDoubling`] applicability verdict.
 //!
-//! All algorithms emit the same artifact — a [`Schedule`]: a dependency DAG
-//! of byte-range transfers that (a) the [`verify`] module can execute on
-//! concrete data to prove the AllReduce post-condition, and (b) the
-//! `meshcoll-noc` simulators can time under real link contention.
+//! Every algorithm is reached through [`Algorithm`]: its one generator
+//! dispatch, [`Algorithm::emit_with`], streams ops into any [`OpSink`] (the
+//! [`stream`] module), and [`Algorithm::schedule`] collects them into a
+//! [`Schedule`]: a dependency DAG of byte-range transfers that (a) the
+//! [`verify`] module can execute on concrete data to prove the AllReduce
+//! post-condition, and (b) the `meshcoll-noc` simulators can time under
+//! real link contention.
 //!
 //! Under chiplet/link faults, the [`fault`] module lints schedules against a
 //! `FaultModel` and regenerates (repairs) them over the surviving topology;
@@ -54,7 +57,6 @@ pub mod bitset;
 pub mod dbtree;
 pub mod export;
 pub mod fault;
-pub mod hdrm;
 pub mod link_usage;
 pub mod lint;
 pub mod multitree;
@@ -73,4 +75,4 @@ pub use algorithm::{Algorithm, Applicability, ScheduleOptions};
 pub use error::CollectiveError;
 pub use online::{repair_suffix, SuffixContext, SuffixRepair};
 pub use schedule::{CollectiveOp, OpId, OpKind, Schedule, ScheduleBuilder};
-pub use stream::{OpSink, ScheduleStream, StreamedOp};
+pub use stream::OpSink;

@@ -21,7 +21,8 @@ use crate::schedule::{split_bytes, OpId, OpKind};
 use crate::stream::OpSink;
 use crate::{CollectiveError, Schedule};
 
-/// Builds the MultiTree schedule for `data_bytes` of gradient per node.
+/// Streams the MultiTree ops for `data_bytes` of gradient per node into
+/// `sink`.
 ///
 /// # Errors
 ///
@@ -29,14 +30,6 @@ use crate::{CollectiveError, Schedule};
 /// * [`CollectiveError::DataTooSmall`] when `data_bytes < N`,
 /// * [`CollectiveError::Construction`] if the greedy growth stalls (cannot
 ///   happen on a connected mesh; defensive).
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    let mut b = Schedule::builder("MultiTree", data_bytes);
-    emit(mesh, data_bytes, &mut b)?;
-    Ok(b.build())
-}
-
-/// Streams the MultiTree ops into `sink`; the generation code behind
-/// [`schedule`].
 pub(crate) fn emit(
     mesh: &Mesh,
     data_bytes: u64,
@@ -249,7 +242,7 @@ pub fn build_trees_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify;
+    use crate::{verify, Algorithm};
 
     #[test]
     fn trees_span_and_are_valid() {
@@ -302,7 +295,7 @@ mod tests {
     fn multitree_allreduce_is_correct() {
         for (r, c) in [(2, 2), (3, 3), (4, 4), (1, 4), (2, 3)] {
             let mesh = Mesh::new(r, c).unwrap();
-            let s = schedule(&mesh, 3600).unwrap();
+            let s = Algorithm::MultiTree.schedule(&mesh, 3600).unwrap();
             verify::check_allreduce(&mesh, &s).unwrap_or_else(|e| panic!("{r}x{c}: {e}"));
             for seed in 0..3 {
                 verify::check_allreduce_seeded(&mesh, &s, seed).unwrap();
@@ -317,7 +310,7 @@ mod tests {
         // (~53%) is the *time-averaged* busy fraction, measured by the
         // network simulator in meshcoll-sim.
         let mesh = Mesh::square(8).unwrap();
-        let s = schedule(&mesh, 1 << 20).unwrap();
+        let s = Algorithm::MultiTree.schedule(&mesh, 1 << 20).unwrap();
         let pct = crate::link_usage::used_link_percent(&mesh, &s);
         assert!(pct > 90.0, "got {pct}%");
     }

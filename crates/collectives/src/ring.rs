@@ -12,24 +12,15 @@ use meshcoll_topo::{hamiltonian, Mesh};
 
 use crate::ring_common::{no_entry, ring_all_gather, ring_reduce_scatter};
 use crate::stream::OpSink;
-use crate::{CollectiveError, Schedule};
+use crate::CollectiveError;
 
-/// Builds the unidirectional Ring AllReduce schedule for `data_bytes` of
-/// gradient per node.
+/// Streams the unidirectional Ring AllReduce ops for `data_bytes` of
+/// gradient per node into `sink`.
 ///
 /// # Errors
 ///
 /// * [`CollectiveError::Inapplicable`] on a single-node mesh,
 /// * [`CollectiveError::DataTooSmall`] when `data_bytes < N`.
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    let mut b = Schedule::builder("Ring", data_bytes);
-    emit(mesh, data_bytes, &mut b)?;
-    Ok(b.build())
-}
-
-/// Streams the Ring ops into `sink`; the generation code behind
-/// [`schedule`], shared so streamed and materialized schedules are
-/// identical by construction.
 pub(crate) fn emit(
     mesh: &Mesh,
     data_bytes: u64,
@@ -66,12 +57,12 @@ pub fn ring_order(mesh: &Mesh) -> Vec<meshcoll_topo::NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify;
+    use crate::{verify, Algorithm};
 
     #[test]
     fn ring_allreduce_is_correct_even_mesh() {
         let mesh = Mesh::square(4).unwrap();
-        let s = schedule(&mesh, 16 * 13).unwrap();
+        let s = Algorithm::Ring.schedule(&mesh, 16 * 13).unwrap();
         verify::check_allreduce(&mesh, &s).unwrap();
         for seed in 0..3 {
             verify::check_allreduce_seeded(&mesh, &s, seed).unwrap();
@@ -81,7 +72,7 @@ mod tests {
     #[test]
     fn ring_allreduce_is_correct_odd_mesh() {
         let mesh = Mesh::square(3).unwrap();
-        let s = schedule(&mesh, 900).unwrap();
+        let s = Algorithm::Ring.schedule(&mesh, 900).unwrap();
         verify::check_allreduce(&mesh, &s).unwrap();
     }
 
@@ -89,7 +80,7 @@ mod tests {
     fn op_count_is_2n_minus_2_steps() {
         let mesh = Mesh::square(4).unwrap();
         let n = mesh.nodes();
-        let s = schedule(&mesh, 4096).unwrap();
+        let s = Algorithm::Ring.schedule(&mesh, 4096).unwrap();
         // (N-1) RS steps + (N-1) AG steps, N sends each.
         assert_eq!(s.len(), 2 * (n - 1) * n);
     }
@@ -99,7 +90,7 @@ mod tests {
         // Each of N nodes sends D/N bytes for 2(N-1) steps.
         let mesh = Mesh::new(2, 3).unwrap();
         let d = 6000;
-        let s = schedule(&mesh, d).unwrap();
+        let s = Algorithm::Ring.schedule(&mesh, d).unwrap();
         assert_eq!(s.total_wire_bytes(), 2 * (6 - 1) * d);
     }
 
@@ -107,7 +98,7 @@ mod tests {
     fn single_node_is_inapplicable() {
         let mesh = Mesh::new(1, 1).unwrap();
         assert!(matches!(
-            schedule(&mesh, 1024),
+            Algorithm::Ring.schedule(&mesh, 1024),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }
@@ -116,7 +107,7 @@ mod tests {
     fn tiny_data_is_rejected() {
         let mesh = Mesh::square(4).unwrap();
         assert!(matches!(
-            schedule(&mesh, 3),
+            Algorithm::Ring.schedule(&mesh, 3),
             Err(CollectiveError::DataTooSmall { .. })
         ));
     }

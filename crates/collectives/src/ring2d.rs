@@ -16,16 +16,22 @@ use meshcoll_topo::{Coord, Mesh, NodeId};
 
 use crate::ring_common::{no_entry, ring_all_gather, ring_reduce_scatter};
 use crate::schedule::split_range;
-use crate::{CollectiveError, Schedule, ScheduleBuilder};
+use crate::stream::OpSink;
+use crate::CollectiveError;
 
-/// Builds the Ring-2D schedule for `data_bytes` of gradient per node.
+/// Streams the Ring-2D ops for `data_bytes` of gradient per node into
+/// `sink`.
 ///
 /// # Errors
 ///
 /// * [`CollectiveError::Inapplicable`] unless both dimensions are at least 2,
 /// * [`CollectiveError::DataTooSmall`] when a half cannot be split
 ///   hierarchically (roughly `data_bytes < 2 * rows * cols`).
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
+pub(crate) fn emit(
+    mesh: &Mesh,
+    data_bytes: u64,
+    sink: &mut dyn OpSink,
+) -> Result<(), CollectiveError> {
     if mesh.rows() < 2 || mesh.cols() < 2 {
         return Err(CollectiveError::Inapplicable {
             algorithm: "Ring-2D",
@@ -34,20 +40,18 @@ pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveErro
             reason: "hierarchical rings need both dimensions of size at least 2",
         });
     }
-    let mut b = Schedule::builder("Ring-2D", data_bytes);
-    b.set_participants(mesh.node_ids().collect());
+    sink.set_participants(mesh.node_ids().collect());
     let half = data_bytes / 2;
     // Half A: rows (x) first, then columns (y).
-    hierarchical_half(&mut b, mesh, (0, half), true)?;
+    hierarchical_half(sink, mesh, (0, half), true)?;
     // Half B: columns first, then rows.
-    hierarchical_half(&mut b, mesh, (half, data_bytes), false)?;
-    Ok(b.build())
+    hierarchical_half(sink, mesh, (half, data_bytes), false)
 }
 
 /// One half of the hierarchical AllReduce. `rows_first` selects which
 /// dimension runs the outer (full-range) rings.
 fn hierarchical_half(
-    b: &mut ScheduleBuilder,
+    b: &mut dyn OpSink,
     mesh: &Mesh,
     range: (u64, u64),
     rows_first: bool,
@@ -123,13 +127,13 @@ fn hierarchical_half(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify;
+    use crate::{verify, Algorithm};
 
     #[test]
     fn ring2d_is_correct() {
         for (r, c) in [(2, 2), (3, 3), (4, 4), (2, 4), (3, 2), (4, 3)] {
             let mesh = Mesh::new(r, c).unwrap();
-            let s = schedule(&mesh, 8 * 1024).unwrap();
+            let s = Algorithm::Ring2D.schedule(&mesh, 8 * 1024).unwrap();
             verify::check_allreduce(&mesh, &s).unwrap_or_else(|e| panic!("{r}x{c}: {e}"));
             for seed in 0..3 {
                 verify::check_allreduce_seeded(&mesh, &s, seed).unwrap();
@@ -141,7 +145,7 @@ mod tests {
     fn one_dimensional_mesh_is_inapplicable() {
         let mesh = Mesh::new(1, 8).unwrap();
         assert!(matches!(
-            schedule(&mesh, 4096),
+            Algorithm::Ring2D.schedule(&mesh, 4096),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }
@@ -151,7 +155,7 @@ mod tests {
         // Hierarchical splitting: phase 1 moves D/(2c) per step, phase 2
         // moves D/(2cr).
         let mesh = Mesh::square(4).unwrap();
-        let s = schedule(&mesh, 32 * 1024).unwrap();
+        let s = Algorithm::Ring2D.schedule(&mesh, 32 * 1024).unwrap();
         let sizes: std::collections::BTreeSet<u64> = s.ops().iter().map(|o| o.bytes).collect();
         assert!(sizes.len() >= 2);
         let min = *sizes.iter().next().unwrap();
@@ -163,7 +167,7 @@ mod tests {
     fn tiny_data_is_rejected() {
         let mesh = Mesh::square(4).unwrap();
         assert!(matches!(
-            schedule(&mesh, 8),
+            Algorithm::Ring2D.schedule(&mesh, 8),
             Err(CollectiveError::DataTooSmall { .. })
         ));
     }

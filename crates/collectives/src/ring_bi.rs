@@ -11,9 +11,10 @@ use meshcoll_topo::{hamiltonian, Mesh};
 
 use crate::ring_common::{no_entry, ring_all_gather, ring_reduce_scatter};
 use crate::stream::OpSink;
-use crate::{CollectiveError, Schedule};
+use crate::CollectiveError;
 
-/// Builds the RingBiEven schedule for `data_bytes` of gradient per node.
+/// Streams the RingBiEven ops for `data_bytes` of gradient per node into
+/// `sink`.
 ///
 /// # Errors
 ///
@@ -21,14 +22,6 @@ use crate::{CollectiveError, Schedule};
 ///   (paper Table I),
 /// * [`CollectiveError::DataTooSmall`] when a half cannot split into `N`
 ///   parts.
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    let mut b = Schedule::builder("RingBiEven", data_bytes);
-    emit(mesh, data_bytes, &mut b)?;
-    Ok(b.build())
-}
-
-/// Streams the RingBiEven ops into `sink`; the generation code behind
-/// [`schedule`].
 pub(crate) fn emit(
     mesh: &Mesh,
     data_bytes: u64,
@@ -72,13 +65,13 @@ pub(crate) fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{link_usage, verify, CollectiveOp};
+    use crate::{link_usage, verify, Algorithm, CollectiveOp};
 
     #[test]
     fn bi_ring_is_correct() {
         for (r, c) in [(2, 2), (4, 4), (3, 4), (2, 5)] {
             let mesh = Mesh::new(r, c).unwrap();
-            let s = schedule(&mesh, 4096).unwrap();
+            let s = Algorithm::RingBiEven.schedule(&mesh, 4096).unwrap();
             verify::check_allreduce(&mesh, &s).unwrap();
             verify::check_allreduce_seeded(&mesh, &s, 7).unwrap();
         }
@@ -88,7 +81,7 @@ mod tests {
     fn odd_mesh_is_inapplicable() {
         let mesh = Mesh::square(5).unwrap();
         assert!(matches!(
-            schedule(&mesh, 4096),
+            Algorithm::RingBiEven.schedule(&mesh, 4096),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }
@@ -97,7 +90,7 @@ mod tests {
     fn uses_both_directions_of_cycle_links() {
         // Paper Table I: 57% of directed links on an 8x8 mesh.
         let mesh = Mesh::square(8).unwrap();
-        let s = schedule(&mesh, 1 << 20).unwrap();
+        let s = Algorithm::RingBiEven.schedule(&mesh, 1 << 20).unwrap();
         let pct = link_usage::used_link_percent(&mesh, &s);
         assert!((56.0..59.0).contains(&pct), "got {pct}%");
     }
@@ -105,7 +98,7 @@ mod tests {
     #[test]
     fn halves_are_disjoint_ranges() {
         let mesh = Mesh::square(2).unwrap();
-        let s = schedule(&mesh, 800).unwrap();
+        let s = Algorithm::RingBiEven.schedule(&mesh, 800).unwrap();
         let a_max = s
             .ops()
             .iter()

@@ -22,9 +22,10 @@ use meshcoll_topo::{hamiltonian, Coord, Mesh, NodeId};
 
 use crate::ring_common::{no_entry, ring_all_gather, ring_reduce_scatter, Feeder};
 use crate::stream::OpSink;
-use crate::{CollectiveError, Schedule};
+use crate::CollectiveError;
 
-/// Builds the RingBiOdd schedule for `data_bytes` of gradient per node.
+/// Streams the RingBiOdd ops for `data_bytes` of gradient per node into
+/// `sink`.
 ///
 /// # Errors
 ///
@@ -32,14 +33,6 @@ use crate::{CollectiveError, Schedule};
 ///   and at least 3 (RingBiEven covers even meshes),
 /// * [`CollectiveError::DataTooSmall`] when a half cannot split into `N - 1`
 ///   parts.
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    let mut b = Schedule::builder("RingBiOdd", data_bytes);
-    emit(mesh, data_bytes, &mut b)?;
-    Ok(b.build())
-}
-
-/// Streams the RingBiOdd ops into `sink`; the generation code behind
-/// [`schedule`].
 pub(crate) fn emit(
     mesh: &Mesh,
     data_bytes: u64,
@@ -114,13 +107,13 @@ pub(crate) fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{link_usage, verify};
+    use crate::{link_usage, verify, Algorithm};
 
     #[test]
     fn ring_bi_odd_is_correct() {
         for (r, c) in [(3, 3), (3, 5), (5, 5), (5, 3)] {
             let mesh = Mesh::new(r, c).unwrap();
-            let s = schedule(&mesh, 8192).unwrap();
+            let s = Algorithm::RingBiOdd.schedule(&mesh, 8192).unwrap();
             verify::check_allreduce(&mesh, &s).unwrap();
             for seed in 0..3 {
                 verify::check_allreduce_seeded(&mesh, &s, seed).unwrap();
@@ -132,7 +125,7 @@ mod tests {
     fn even_mesh_is_inapplicable() {
         let mesh = Mesh::square(4).unwrap();
         assert!(matches!(
-            schedule(&mesh, 4096),
+            Algorithm::RingBiOdd.schedule(&mesh, 4096),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }
@@ -140,7 +133,7 @@ mod tests {
     #[test]
     fn excluded_corner_still_participates() {
         let mesh = Mesh::square(3).unwrap();
-        let s = schedule(&mesh, 1600).unwrap();
+        let s = Algorithm::RingBiOdd.schedule(&mesh, 1600).unwrap();
         assert_eq!(s.participants().len(), 9);
         // The corner both sends (ReduceScatter feed) and receives (AllGather
         // drain).
@@ -153,7 +146,7 @@ mod tests {
     fn link_usage_matches_paper_table1() {
         // Paper Table I: ~57% on a 9x9 mesh (164 of 288 directed links).
         let mesh = Mesh::square(9).unwrap();
-        let s = schedule(&mesh, 1 << 20).unwrap();
+        let s = Algorithm::RingBiOdd.schedule(&mesh, 1 << 20).unwrap();
         let pct = link_usage::used_link_percent(&mesh, &s);
         assert!((56.0..58.0).contains(&pct), "got {pct}%");
     }
@@ -162,7 +155,7 @@ mod tests {
     fn parts_are_split_n_minus_1_ways() {
         let mesh = Mesh::square(3).unwrap();
         let d = 1600; // half = 800, 8 ring nodes -> 100-byte parts
-        let s = schedule(&mesh, d).unwrap();
+        let s = Algorithm::RingBiOdd.schedule(&mesh, d).unwrap();
         assert!(s.ops().iter().all(|o| o.bytes == 100));
     }
 
@@ -171,7 +164,7 @@ mod tests {
         // Every ring node sends once per step; plus K feeder sends and K
         // drain receives per direction.
         let mesh = Mesh::square(3).unwrap();
-        let s = schedule(&mesh, 1600).unwrap();
+        let s = Algorithm::RingBiOdd.schedule(&mesh, 1600).unwrap();
         let k = 8; // N - 1
         let per_direction = (k - 1) * k  // RS ring ops
             + k                          // feeder ops

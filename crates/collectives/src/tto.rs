@@ -31,35 +31,15 @@ use crate::{CollectiveError, Schedule};
 /// per-tree parts are whole packets).
 pub const DEFAULT_CHUNK_BYTES: u64 = 98_304;
 
-/// Builds the TTO schedule with the default chunk size.
-///
-/// # Errors
-///
-/// See [`schedule_with`].
-pub fn schedule(mesh: &Mesh, data_bytes: u64) -> Result<Schedule, CollectiveError> {
-    schedule_with(mesh, data_bytes, DEFAULT_CHUNK_BYTES)
-}
-
-/// Builds the TTO schedule with an explicit chunk size (Fig 14 sweeps this).
+/// Streams the TTO ops for `data_bytes` of gradient per node into `sink`,
+/// pipelined over `chunk_bytes` chunks (Fig 14 sweeps the chunk size). Ops
+/// are emitted chunk by chunk, so a streaming consumer's live window is one
+/// chunk's three tree traversals, not the whole pipelined schedule.
 ///
 /// # Errors
 ///
 /// * [`CollectiveError::Inapplicable`] unless both dimensions are at least 2,
 /// * [`CollectiveError::DataTooSmall`] when a chunk cannot split three ways.
-pub fn schedule_with(
-    mesh: &Mesh,
-    data_bytes: u64,
-    chunk_bytes: u64,
-) -> Result<Schedule, CollectiveError> {
-    let mut b = Schedule::builder("TTO", data_bytes);
-    emit_with(mesh, data_bytes, chunk_bytes, &mut b)?;
-    Ok(b.build())
-}
-
-/// Streams the TTO ops into `sink`; the generation code behind
-/// [`schedule_with`]. Ops are emitted chunk by chunk, so a streaming
-/// consumer's live window is one chunk's three tree traversals, not the
-/// whole pipelined schedule.
 pub(crate) fn emit_with(
     mesh: &Mesh,
     data_bytes: u64,
@@ -67,17 +47,33 @@ pub(crate) fn emit_with(
     sink: &mut dyn OpSink,
 ) -> Result<(), CollectiveError> {
     let trees = disjoint_trees(mesh)?;
-    let n = mesh.nodes();
     let excluded = excluded_node(mesh);
+    let participants = mesh.node_ids().filter(|&x| x != excluded).collect();
+    emit_chunks(sink, mesh, &trees, participants, data_bytes, chunk_bytes)
+}
+
+/// The chunk loop behind every TTO variant (healthy, two-tree and
+/// fault-repaired): cuts the gradient into `chunk_bytes` chunks, splits
+/// each chunk evenly across `trees`, and reduces then gathers every part
+/// over its tree.
+pub(crate) fn emit_chunks(
+    sink: &mut dyn OpSink,
+    mesh: &Mesh,
+    trees: &[Tree],
+    participants: Vec<NodeId>,
+    data_bytes: u64,
+    chunk_bytes: u64,
+) -> Result<(), CollectiveError> {
+    let n = mesh.nodes();
     let plans: Vec<TreePlan> = trees.iter().map(|t| TreePlan::new(t, n)).collect();
 
     let chunk_count = data_bytes.div_ceil(chunk_bytes.max(1)).max(1);
     let chunks = split_bytes(data_bytes, chunk_count)?;
 
-    sink.set_participants(mesh.node_ids().filter(|&x| x != excluded).collect());
+    sink.set_participants(participants);
     let mut scratch: Vec<OpId> = Vec::new();
     for (c, (coff, clen)) in chunks.iter().enumerate() {
-        let parts = split_range(*coff, coff + clen, 3)?;
+        let parts = split_range(*coff, coff + clen, plans.len() as u64)?;
         for (plan, (off, len)) in plans.iter().zip(parts) {
             let range = (off, off + len);
             let root_done = plan.reduce_ops(sink, range, c as u32, &mut scratch);
@@ -99,30 +95,24 @@ pub(crate) fn emit_with(
 ///
 /// # Errors
 ///
-/// As for [`schedule_with`].
+/// * [`CollectiveError::Inapplicable`] unless both dimensions are at least 2,
+/// * [`CollectiveError::DataTooSmall`] when a chunk cannot split two ways.
 pub fn two_tree_schedule_with(
     mesh: &Mesh,
     data_bytes: u64,
     chunk_bytes: u64,
 ) -> Result<Schedule, CollectiveError> {
     let trees = disjoint_trees(mesh)?;
-    let n = mesh.nodes();
-    let plans: Vec<TreePlan> = trees[..2].iter().map(|t| TreePlan::new(t, n)).collect();
-
-    let chunk_count = data_bytes.div_ceil(chunk_bytes.max(1)).max(1);
-    let chunks = split_bytes(data_bytes, chunk_count)?;
-
     let mut b = Schedule::builder("TTO-2tree", data_bytes);
-    b.set_participants(mesh.node_ids().collect());
-    let mut scratch: Vec<OpId> = Vec::new();
-    for (c, (coff, clen)) in chunks.iter().enumerate() {
-        let parts = split_range(*coff, coff + clen, 2)?;
-        for (plan, (off, len)) in plans.iter().zip(parts) {
-            let range = (off, off + len);
-            let root_done = plan.reduce_ops(&mut b, range, c as u32, &mut scratch);
-            plan.gather_ops(&mut b, range, c as u32, &root_done, &mut scratch);
-        }
-    }
+    let participants = mesh.node_ids().collect();
+    emit_chunks(
+        &mut b,
+        mesh,
+        &trees[..2],
+        participants,
+        data_bytes,
+        chunk_bytes,
+    )?;
     Ok(b.build())
 }
 
@@ -228,8 +218,20 @@ pub fn disjoint_trees(mesh: &Mesh) -> Result<[Tree; 3], CollectiveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{link_usage, verify};
+    use crate::{link_usage, verify, Algorithm, ScheduleOptions};
     use std::collections::HashSet;
+
+    fn schedule_with(
+        mesh: &Mesh,
+        data_bytes: u64,
+        chunk_bytes: u64,
+    ) -> Result<Schedule, CollectiveError> {
+        let opts = ScheduleOptions {
+            tto_chunk_bytes: chunk_bytes,
+            ..ScheduleOptions::default()
+        };
+        Algorithm::Tto.schedule_with(mesh, data_bytes, &opts)
+    }
 
     fn all_sizes() -> Vec<(usize, usize)> {
         vec![
@@ -355,7 +357,7 @@ mod tests {
     fn one_dimensional_mesh_is_inapplicable() {
         let mesh = Mesh::new(1, 8).unwrap();
         assert!(matches!(
-            schedule(&mesh, 1 << 20),
+            Algorithm::Tto.schedule(&mesh, 1 << 20),
             Err(CollectiveError::Inapplicable { .. })
         ));
     }

@@ -36,10 +36,11 @@ use std::fmt;
 
 use meshcoll_collectives::verify::{self, VerifyError};
 use meshcoll_collectives::{OpKind, Schedule};
-use meshcoll_noc::{InvariantAuditor, MemorySink, MsgId, TraceEvent, TraceSink, Violation};
+use meshcoll_noc::{
+    InvariantAuditor, MemorySink, Message, MsgId, TraceEvent, TraceSink, Violation,
+};
 use meshcoll_topo::Mesh;
 
-use crate::engine::schedule_messages;
 use crate::{RunResult, SimEngine, SimError};
 
 /// Per-run options for [`SimEngine::run_with`].
@@ -192,14 +193,26 @@ impl SimEngine {
     /// all (e.g. it routes over a dead link); violations of invariants are
     /// reported, not errors.
     pub fn audit(&self, mesh: &Mesh, schedule: &Schedule) -> Result<AuditReport, SimError> {
-        let (messages, _) = schedule_messages(&[(schedule, 0.0)]);
+        self.staged(
+            |lowering| Ok(lowering.lower(schedule, 0.0)),
+            |messages, _| self.audit_lowered(mesh, schedule, messages),
+        )
+    }
+
+    /// [`SimEngine::audit`] over `schedule`'s lowered message DAG.
+    fn audit_lowered(
+        &self,
+        mesh: &Mesh,
+        schedule: &Schedule,
+        messages: &[Message],
+    ) -> Result<AuditReport, SimError> {
         let auditor = InvariantAuditor::new();
         let mut report = AuditReport::default();
 
         // Exact per-packet reference: conservation, causality, exclusivity.
         let mut reference = MemorySink::new();
         self.packet_sim()
-            .run_reference_traced(mesh, &messages, &mut reference)?;
+            .run_reference_traced(mesh, messages, &mut reference)?;
         let trace = auditor.check_trace(reference.events());
         report.checks += trace.checks;
         report
@@ -214,7 +227,7 @@ impl SimEngine {
         // to cross-check.
         let mut fast = MemorySink::new();
         self.packet_sim()
-            .simulate_traced(mesh, &messages, &mut fast)?;
+            .simulate_traced(mesh, messages, &mut fast)?;
         if fast
             .events()
             .iter()
@@ -238,7 +251,7 @@ impl SimEngine {
                 _ => {}
             }
         }
-        for m in &messages {
+        for m in messages {
             for d in &m.deps {
                 report.checks += 1;
                 let (at, dep_done) = (inject[m.id.index()], deliver[d.index()]);
@@ -301,30 +314,29 @@ impl SimEngine {
         schedule: &Schedule,
         sink: &mut T,
     ) -> Result<RunResult, SimError> {
-        let (messages, _) = schedule_messages(&[(schedule, 0.0)]);
-        let outcome = self.packet_sim().simulate_traced(mesh, &messages, sink)?;
-        if T::ENABLED {
-            for id in schedule.op_ids() {
-                let op = schedule.op(id);
-                if op.kind == OpKind::Reduce {
-                    if let Some(at_ns) = outcome.completion_ns(MsgId(id.index())) {
-                        sink.record(TraceEvent::Reduce {
-                            op: id.0,
-                            node: op.dst,
-                            offset: op.offset,
-                            bytes: op.bytes,
-                            at_ns,
-                        });
+        self.staged(
+            |lowering| Ok(lowering.lower(schedule, 0.0)),
+            |messages, _| {
+                let outcome = self.packet_sim().simulate_traced(mesh, messages, sink)?;
+                if T::ENABLED {
+                    for id in schedule.op_ids() {
+                        let op = schedule.op(id);
+                        if op.kind == OpKind::Reduce {
+                            if let Some(at_ns) = outcome.completion_ns(MsgId(id.index())) {
+                                sink.record(TraceEvent::Reduce {
+                                    op: id.0,
+                                    node: op.dst,
+                                    offset: op.offset,
+                                    bytes: op.bytes,
+                                    at_ns,
+                                });
+                            }
+                        }
                     }
                 }
-            }
-        }
-        let makespan = outcome.makespan_ns();
-        Ok(RunResult {
-            total_time_ns: makespan,
-            link_utilization_percent: outcome.link_stats().utilization_percent(makespan),
-            used_link_percent: outcome.link_stats().used_link_percent(),
-        })
+                Ok(self.result_of(outcome))
+            },
+        )
     }
 }
 

@@ -1,11 +1,11 @@
 //! Schedule → network-simulation bridge.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use meshcoll_collectives::{
     fault, Algorithm, CollectiveError, OpId, OpKind, OpSink, Schedule, ScheduleOptions,
 };
-use meshcoll_noc::{Message, MsgId, NocConfig, PacketSim, SimMode};
+use meshcoll_noc::{LinkStats, Message, MsgId, NocConfig, PacketSim, SimMode, SimOutcome};
 use meshcoll_topo::{Mesh, NodeId};
 
 use crate::{SimContext, SimError};
@@ -43,6 +43,16 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The timing of a run that ended at `makespan` ns with per-link busy
+    /// time `stats`.
+    pub(crate) fn from_stats(makespan: f64, stats: &LinkStats) -> RunResult {
+        RunResult {
+            total_time_ns: makespan,
+            link_utilization_percent: stats.utilization_percent(makespan),
+            used_link_percent: stats.used_link_percent(),
+        }
+    }
+
     /// Achieved AllReduce bandwidth for `data_bytes` of gradient:
     /// `bytes / time` in GB/s (the Fig 8 metric).
     pub fn bandwidth_gbps(&self, data_bytes: u64) -> f64 {
@@ -174,9 +184,7 @@ impl SimEngine {
     /// far; the scalability smoke test pins that down.
     pub fn retained_scratch_bytes(&self) -> usize {
         let lowered: usize = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
+            .pool()
             .iter()
             .map(|buf| {
                 buf.capacity() * std::mem::size_of::<Message>()
@@ -225,33 +233,44 @@ impl SimEngine {
         data_bytes: u64,
         opts: &ScheduleOptions,
     ) -> Result<DegradedRun, SimError> {
+        let (schedule, status) = self.lint_or_repair(mesh, algorithm, data_bytes, opts)?;
+        let result = schedule.map(|s| self.run(mesh, &s)).transpose()?;
+        Ok(DegradedRun { status, result })
+    }
+
+    /// The static fault phase shared by [`SimEngine::run_degraded`] and
+    /// [`SimEngine::run_online`]: generates the healthy schedule, lints it
+    /// against the configured fault model, and repairs it over the
+    /// surviving topology when dirty. Returns the schedule to execute with
+    /// its [`RunStatus`], or no schedule and [`RunStatus::Infeasible`] when
+    /// no repair exists.
+    pub(crate) fn lint_or_repair(
+        &self,
+        mesh: &Mesh,
+        algorithm: Algorithm,
+        data_bytes: u64,
+        opts: &ScheduleOptions,
+    ) -> Result<(Option<Schedule>, RunStatus), SimError> {
         let faults = &self.noc().faults;
         let schedule = algorithm.schedule_with(mesh, data_bytes, opts)?;
         let issues = fault::lint(mesh, faults, &schedule, self.noc().routing);
         if issues.is_empty() {
-            return Ok(DegradedRun {
-                status: RunStatus::Completed,
-                result: Some(self.run(mesh, &schedule)?),
-            });
+            return Ok((Some(schedule), RunStatus::Completed));
         }
         let t0 = std::time::Instant::now();
         match fault::repair(algorithm, mesh, faults, data_bytes, opts) {
             Ok(rep) => {
-                let repair_micros = t0.elapsed().as_secs_f64() * 1e6;
-                Ok(DegradedRun {
-                    status: RunStatus::Repaired {
-                        lint_issues: issues.len(),
-                        strategy: rep.strategy,
-                        sidelined: rep.sidelined.len(),
-                        repair_micros,
-                    },
-                    result: Some(self.run(mesh, &rep.schedule)?),
-                })
+                let status = RunStatus::Repaired {
+                    lint_issues: issues.len(),
+                    strategy: rep.strategy,
+                    sidelined: rep.sidelined.len(),
+                    repair_micros: t0.elapsed().as_secs_f64() * 1e6,
+                };
+                Ok((Some(rep.schedule), status))
             }
-            Err(CollectiveError::Infeasible { reason }) => Ok(DegradedRun {
-                status: RunStatus::Infeasible { reason },
-                result: None,
-            }),
+            Err(CollectiveError::Infeasible { reason }) => {
+                Ok((None, RunStatus::Infeasible { reason }))
+            }
             Err(e) => Err(e.into()),
         }
     }
@@ -277,47 +296,10 @@ impl SimEngine {
         data_bytes: u64,
         opts: &ScheduleOptions,
     ) -> Result<RunResult, SimError> {
-        let mut messages = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let emitted = {
-            let mut sink = MessageSink {
-                messages: &mut messages,
-                idx: 0,
-            };
-            algorithm
-                .emit_with(mesh, data_bytes, opts, &mut sink)
-                .map(|()| sink.idx)
-        };
-        let result = match emitted {
-            Ok(count) => {
-                messages.truncate(count);
-                self.sim
-                    .simulate(mesh, &messages)
-                    .map(|outcome| {
-                        let makespan = outcome.makespan_ns();
-                        let run = RunResult {
-                            total_time_ns: makespan,
-                            link_utilization_percent: outcome
-                                .link_stats()
-                                .utilization_percent(makespan),
-                            used_link_percent: outcome.link_stats().used_link_percent(),
-                        };
-                        self.sim.recycle(outcome);
-                        run
-                    })
-                    .map_err(SimError::from)
-            }
-            Err(e) => Err(e.into()),
-        };
-        self.lowered
-            .lock()
-            .expect("message pool poisoned")
-            .push(messages);
-        result
+        self.staged(
+            |lowering| algorithm.emit_with(mesh, data_bytes, opts, lowering),
+            |messages, ()| Ok(self.result_of(self.sim.simulate(mesh, messages)?)),
+        )
     }
 
     /// Times several schedules sharing the network, each with its own
@@ -334,37 +316,70 @@ impl SimEngine {
         mesh: &Mesh,
         schedules: &[(&Schedule, f64)],
     ) -> Result<(RunResult, Vec<f64>), SimError> {
-        let mut messages = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let spans = schedule_messages_into(schedules, &mut messages);
-        let result = self.sim.simulate(mesh, &messages).map(|outcome| {
-            let makespan = outcome.makespan_ns();
-            let per_schedule = spans
-                .iter()
-                .map(|&(a, b)| {
-                    outcome.completions()[a..b]
-                        .iter()
-                        .copied()
-                        .fold(0.0, f64::max)
-                })
-                .collect();
-            let run = RunResult {
-                total_time_ns: makespan,
-                link_utilization_percent: outcome.link_stats().utilization_percent(makespan),
-                used_link_percent: outcome.link_stats().used_link_percent(),
+        self.staged(
+            |lowering| {
+                Ok(schedules
+                    .iter()
+                    .map(|&(s, ready_at)| lowering.lower(s, ready_at))
+                    .collect::<Vec<_>>())
+            },
+            |messages, spans| {
+                let outcome = self.sim.simulate(mesh, messages)?;
+                let per_schedule = spans
+                    .iter()
+                    .map(|&(a, b)| {
+                        outcome.completions()[a..b]
+                            .iter()
+                            .copied()
+                            .fold(0.0, f64::max)
+                    })
+                    .collect();
+                Ok((self.result_of(outcome), per_schedule))
+            },
+        )
+    }
+
+    /// The one staged path every run takes: pops a pooled message buffer,
+    /// lowers into it through the one [`MessageSink`] (`lower` returns
+    /// whatever `simulate` needs to know about the lowering), hands the
+    /// lowered DAG to `simulate`, and returns the buffer to the pool.
+    pub(crate) fn staged<L, T>(
+        &self,
+        lower: impl FnOnce(&mut MessageSink<'_>) -> Result<L, CollectiveError>,
+        simulate: impl FnOnce(&[Message], L) -> Result<T, SimError>,
+    ) -> Result<T, SimError> {
+        let mut messages = self.pool().pop().unwrap_or_default();
+        let lowered = {
+            let mut sink = MessageSink {
+                messages: &mut messages,
+                len: 0,
+                base: 0,
+                ready_at: 0.0,
             };
-            self.sim.recycle(outcome);
-            (run, per_schedule)
-        });
-        self.lowered
-            .lock()
-            .expect("message pool poisoned")
-            .push(messages);
-        result.map_err(Into::into)
+            lower(&mut sink).map(|l| (l, sink.len))
+        };
+        let result = match lowered {
+            Ok((l, len)) => {
+                messages.truncate(len);
+                simulate(&messages, l)
+            }
+            Err(e) => Err(e.into()),
+        };
+        self.pool().push(messages);
+        result
+    }
+
+    /// The [`RunResult`] of an outcome of this engine's packet simulator,
+    /// whose buffers then go back to the simulator's pool.
+    pub(crate) fn result_of(&self, outcome: SimOutcome) -> RunResult {
+        let result = RunResult::from_stats(outcome.makespan_ns(), outcome.link_stats());
+        self.sim.recycle(outcome);
+        result
+    }
+
+    /// The recycled schedule-lowering buffers.
+    fn pool(&self) -> MutexGuard<'_, Vec<Vec<Message>>> {
+        self.lowered.lock().expect("message pool poisoned")
     }
 
     /// The underlying packet engine, for the audit layer.
@@ -373,14 +388,67 @@ impl SimEngine {
     }
 }
 
-/// Lowers a streamed op sequence straight into a (possibly recycled)
-/// message buffer, entry by entry — the streaming counterpart of
-/// [`schedule_messages_into`]. Op `k` becomes message `k`; dependency ids
-/// translate one-to-one, so the resulting DAG is byte-for-byte the DAG the
-/// materialized path lowers.
-struct MessageSink<'a> {
+/// Lowers ops to the simulator's message DAG, writing a (possibly
+/// recycled) buffer entry by entry so it keeps both its spine and its
+/// per-message dependency-list allocations — the congested schedules lower
+/// ~10^5 ops, and rebuilding that buffer from scratch costs more than a
+/// third of the fast path's whole simulation time.
+///
+/// Message ids are dense over the whole buffer, so several schedules share
+/// one id space: op `k` of the schedule being lowered becomes message
+/// `base + k`, its dependencies shift by the same `base`, and every message
+/// carries the schedule's ready time. Generators stream into it as an
+/// [`OpSink`]; materialized schedules go through [`MessageSink::lower`],
+/// which calls the same writer — so the streamed, materialized, audited and
+/// online paths all time byte-for-byte the same DAG.
+pub(crate) struct MessageSink<'a> {
     messages: &'a mut Vec<Message>,
-    idx: usize,
+    /// Messages written so far; the next message's id.
+    len: usize,
+    /// Id of the current schedule's op 0.
+    base: usize,
+    /// Earliest start of the current schedule's messages, ns.
+    ready_at: f64,
+}
+
+impl MessageSink<'_> {
+    /// Lowers `schedule`'s ops as the next messages, each ready no earlier
+    /// than `ready_at`; returns their `[start, end)` id span.
+    pub(crate) fn lower(&mut self, schedule: &Schedule, ready_at: f64) -> (usize, usize) {
+        self.base = self.len;
+        self.ready_at = ready_at;
+        for id in schedule.op_ids() {
+            let op = schedule.op(id);
+            self.write(op.src, op.dst, op.bytes, schedule.deps(id));
+        }
+        (self.base, self.len)
+    }
+
+    /// Writes the next message; `deps` are op ids of the current schedule.
+    fn write(&mut self, src: NodeId, dst: NodeId, bytes: u64, deps: &[OpId]) -> OpId {
+        let idx = self.len;
+        let op =
+            u32::try_from(idx - self.base).expect("schedule exceeds u32::MAX ops, the OpId limit");
+        let base = self.base;
+        let dep_ids = deps.iter().map(|d| MsgId(base + d.index()));
+        if let Some(m) = self.messages.get_mut(idx) {
+            m.id = MsgId(idx);
+            m.src = src;
+            m.dst = dst;
+            m.bytes = bytes;
+            m.ready_at_ns = self.ready_at;
+            m.deps.clear();
+            m.deps.extend(dep_ids);
+        } else {
+            self.messages.push(
+                Message::new(MsgId(idx), src, dst, bytes)
+                    .with_deps(dep_ids)
+                    .with_ready_at(self.ready_at),
+            );
+        }
+        self.len += 1;
+        OpId(op)
+    }
 }
 
 impl OpSink for MessageSink<'_> {
@@ -394,23 +462,7 @@ impl OpSink for MessageSink<'_> {
         _chunk: u32,
         deps: &[OpId],
     ) -> OpId {
-        let idx = self.idx;
-        let id = u32::try_from(idx).expect("streamed schedule exceeds u32 op ids");
-        let dep_ids = deps.iter().map(|d| MsgId(d.index()));
-        if let Some(m) = self.messages.get_mut(idx) {
-            m.id = MsgId(idx);
-            m.src = src;
-            m.dst = dst;
-            m.bytes = bytes;
-            m.ready_at_ns = 0.0;
-            m.deps.clear();
-            m.deps.extend(dep_ids);
-        } else {
-            self.messages
-                .push(Message::new(MsgId(idx), src, dst, bytes).with_deps(dep_ids));
-        }
-        self.idx += 1;
-        OpId(id)
+        self.write(src, dst, bytes, deps)
     }
 
     fn set_participants(&mut self, _nodes: Vec<NodeId>) {
@@ -418,64 +470,6 @@ impl OpSink for MessageSink<'_> {
         // functional verifier and audits, which run on materialized
         // schedules.
     }
-}
-
-/// Lowers schedules to the simulator's message DAG: one [`Message`] per op,
-/// dependencies preserved, ids offset so several schedules share one id
-/// space. Returns the messages plus each schedule's `[start, end)` span.
-///
-/// Shared by [`SimEngine::run_phased`] and the audit layer, so the audited
-/// DAG is byte-for-byte the DAG production runs time.
-pub(crate) fn schedule_messages(
-    schedules: &[(&Schedule, f64)],
-) -> (Vec<Message>, Vec<(usize, usize)>) {
-    let mut messages = Vec::new();
-    let spans = schedule_messages_into(schedules, &mut messages);
-    (messages, spans)
-}
-
-/// In-place variant of [`schedule_messages`]: rewrites `messages` entry by
-/// entry so a recycled buffer keeps both its spine and its per-message
-/// dependency-list allocations — the congested schedules lower ~10^5 ops,
-/// and rebuilding that buffer from scratch costs more than a third of the
-/// fast path's whole simulation time.
-pub(crate) fn schedule_messages_into(
-    schedules: &[(&Schedule, f64)],
-    messages: &mut Vec<Message>,
-) -> Vec<(usize, usize)> {
-    let total_ops: usize = schedules.iter().map(|(s, _)| s.len()).sum();
-    messages.truncate(total_ops);
-    let mut base = 0u32;
-    let mut idx = 0usize;
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(schedules.len());
-    for (schedule, ready_at) in schedules {
-        let start = idx;
-        for id in schedule.op_ids() {
-            let op = schedule.op(id);
-            let deps = schedule
-                .deps(id)
-                .iter()
-                .map(|d| MsgId((base + d.0) as usize));
-            if let Some(m) = messages.get_mut(idx) {
-                m.id = MsgId((base + id.0) as usize);
-                m.src = op.src;
-                m.dst = op.dst;
-                m.bytes = op.bytes;
-                m.ready_at_ns = *ready_at;
-                m.deps.clear();
-                m.deps.extend(deps);
-            } else {
-                let mut m = Message::new(MsgId((base + id.0) as usize), op.src, op.dst, op.bytes)
-                    .with_deps(deps);
-                m.ready_at_ns = *ready_at;
-                messages.push(m);
-            }
-            idx += 1;
-        }
-        base += schedule.len() as u32;
-        spans.push((start, idx));
-    }
-    spans
 }
 
 #[cfg(test)]

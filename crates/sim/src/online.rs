@@ -33,7 +33,6 @@ use meshcoll_noc::{
 };
 use meshcoll_topo::{Mesh, NodeId};
 
-use crate::engine::schedule_messages;
 use crate::{RunResult, RunStatus, SimEngine, SimError};
 
 /// Per-run options for [`SimEngine::run_online`].
@@ -91,6 +90,7 @@ pub struct OnlineRun {
 
 /// Mutable state the detect → drain → repair → resume loop threads through
 /// its segments.
+#[derive(Default)]
 struct OnlineLoop {
     /// Ops fully executed in earlier segments, in execution order.
     executed: Vec<CollectiveOp>,
@@ -151,49 +151,20 @@ impl SimEngine {
     ) -> Result<OnlineRun, SimError> {
         // Static phase: the offline lint/repair path, not charged into the
         // timeline (it happens before the collective is launched).
-        let faults = &self.noc().faults;
-        let healthy = algorithm.schedule_with(mesh, data_bytes, opts)?;
-        let issues = meshcoll_collectives::fault::lint(mesh, faults, &healthy, self.noc().routing);
-        let (mut schedule, static_status) = if issues.is_empty() {
-            (healthy, RunStatus::Completed)
-        } else {
-            let t0 = std::time::Instant::now();
-            match meshcoll_collectives::fault::repair(algorithm, mesh, faults, data_bytes, opts) {
-                Ok(rep) => {
-                    let status = RunStatus::Repaired {
-                        lint_issues: issues.len(),
-                        strategy: rep.strategy,
-                        sidelined: rep.sidelined.len(),
-                        repair_micros: t0.elapsed().as_secs_f64() * 1e6,
-                    };
-                    (rep.schedule, status)
-                }
-                Err(CollectiveError::Infeasible { reason }) => {
-                    return Ok(OnlineRun {
-                        status: RunStatus::Infeasible { reason },
-                        result: None,
-                        audit: None,
-                    });
-                }
-                Err(e) => return Err(e.into()),
-            }
+        let (schedule, static_status) = self.lint_or_repair(mesh, algorithm, data_bytes, opts)?;
+        let Some(mut schedule) = schedule else {
+            return Ok(OnlineRun {
+                status: static_status,
+                result: None,
+                audit: None,
+            });
         };
 
         // Online phase: execute, drain on interruption, repair, resume.
         let contributors: Vec<NodeId> = schedule.participants().to_vec();
         let mut overlay = self.noc().faults.clone();
         let mut timeline = self.noc().timeline.clone();
-        let mut st = OnlineLoop {
-            executed: Vec::new(),
-            segments: Vec::new(),
-            events: Vec::new(),
-            resume_at: 0.0,
-            attempts: 0,
-            repair_ns: 0.0,
-            lost_bytes: 0,
-            resumed_ops: 0,
-            first_fault_ns: None,
-        };
+        let mut st = OnlineLoop::default();
 
         loop {
             let mut cfg = self.noc().clone();
@@ -211,21 +182,25 @@ impl SimEngine {
                 .with_route_cache(self.packet_sim().route_cache().clone())
                 .with_mode(self.packet_sim().mode())
                 .with_run_threads(self.packet_sim().run_threads());
-            let (messages, _) = schedule_messages(&[(&schedule, st.resume_at)]);
             if !st.segments.is_empty() && online.audit {
                 st.events.push(TraceEvent::Resume {
                     at_ns: st.resume_at,
-                    suffix_msgs: messages.len() as u64,
+                    suffix_msgs: schedule.len() as u64,
                 });
             }
-            let report = if online.audit {
-                let mut sink = MemorySink::new();
-                let r = sim.simulate_online(mesh, &messages, &mut sink)?;
-                st.events.extend_from_slice(sink.events());
-                r
-            } else {
-                sim.simulate_online(mesh, &messages, &mut NullSink)?
-            };
+            let report = self.staged(
+                |lowering| Ok(lowering.lower(&schedule, st.resume_at)),
+                |messages, _| {
+                    Ok(if online.audit {
+                        let mut sink = MemorySink::new();
+                        let r = sim.simulate_online(mesh, messages, &mut sink)?;
+                        st.events.extend_from_slice(sink.events());
+                        r
+                    } else {
+                        sim.simulate_online(mesh, messages, &mut NullSink)?
+                    })
+                },
+            )?;
             st.segments.push(report.outcome);
 
             let Some(snap) = report.interruption else {
@@ -283,14 +258,9 @@ impl SimEngine {
         };
         let spliced = splice_outcomes(mesh, &overlay, &st.segments);
         let makespan = spliced.makespan_ns().max(st.resume_at);
-        let result = RunResult {
-            total_time_ns: makespan,
-            link_utilization_percent: spliced.link_stats().utilization_percent(makespan),
-            used_link_percent: spliced.link_stats().used_link_percent(),
-        };
         Ok(OnlineRun {
             status,
-            result: Some(result),
+            result: Some(RunResult::from_stats(makespan, spliced.link_stats())),
             audit: self.online_audit(online, &st),
         })
     }
@@ -362,12 +332,99 @@ mod tests {
         assert!((r.total_time_ns - plain.total_time_ns).abs() < 1e-6);
     }
 
+    #[test]
+    fn static_faults_with_an_empty_timeline_match_run_degraded() {
+        // Both entry points share the static lint -> repair phase, so with
+        // no timeline `run_online` concludes exactly as `run_degraded`:
+        // the same status (bar the measured repair wall-clock) and the
+        // same timing, bit for bit.
+        let mesh = Mesh::square(5).unwrap();
+        let d = 1 << 18;
+        let agree = |noc: NocConfig, a: Algorithm| {
+            let e = SimEngine::new(noc);
+            let degraded = e.run_degraded(&mesh, a, d, &opts()).unwrap();
+            let online = e
+                .run_online(&mesh, a, d, &opts(), &OnlineOptions::default())
+                .unwrap();
+            match (&degraded.status, &online.status) {
+                (
+                    RunStatus::Repaired {
+                        lint_issues,
+                        strategy,
+                        sidelined,
+                        ..
+                    },
+                    RunStatus::Repaired {
+                        lint_issues: online_issues,
+                        strategy: online_strategy,
+                        sidelined: online_sidelined,
+                        ..
+                    },
+                ) => {
+                    assert_eq!(lint_issues, online_issues, "{a}");
+                    assert_eq!(strategy, online_strategy, "{a}");
+                    assert_eq!(sidelined, online_sidelined, "{a}");
+                }
+                (degraded, online) => assert_eq!(degraded, online, "{a}"),
+            }
+            let bits = |r: &Option<RunResult>| {
+                r.as_ref().map(|r| {
+                    [
+                        r.total_time_ns.to_bits(),
+                        r.link_utilization_percent.to_bits(),
+                        r.used_link_percent.to_bits(),
+                    ]
+                })
+            };
+            assert_eq!(bits(&degraded.result), bits(&online.result), "{a}");
+            degraded.status
+        };
+
+        for a in ALGOS {
+            // Kill the first link the healthy schedule routes over, so the
+            // lint is dirty and the repair runs.
+            let s = a.schedule_with(&mesh, d, &opts()).unwrap();
+            let op = &s.ops()[0];
+            let link = meshcoll_topo::routing::route(
+                &mesh,
+                op.src,
+                op.dst,
+                meshcoll_topo::RoutingAlgorithm::Xy,
+            )
+            .unwrap()[0];
+            let (x, y) = mesh.link_endpoints(link);
+            let mut noc = NocConfig::paper_default();
+            noc.faults.fail_link_between(&mesh, x, y).unwrap();
+            let status = agree(noc, a);
+            assert!(
+                matches!(status, RunStatus::Repaired { .. }),
+                "{a}: {status:?}"
+            );
+        }
+
+        // A corner cut off by two dead links partitions the survivors:
+        // both report the same typed verdict.
+        let corner = mesh.node_at(Coord::new(0, 0));
+        let mut noc = NocConfig::paper_default();
+        for next in [Coord::new(0, 1), Coord::new(1, 0)] {
+            noc.faults
+                .fail_link_between(&mesh, corner, mesh.node_at(next))
+                .unwrap();
+        }
+        let status = agree(noc, Algorithm::Ring);
+        assert!(matches!(status, RunStatus::Infeasible { .. }), "{status:?}");
+    }
+
     /// The link with the most busy time in a healthy run of `s`: traffic
     /// on it spans the run, so a mid-run death is guaranteed to interrupt.
     fn busiest_link(mesh: &Mesh, s: &Schedule) -> meshcoll_topo::LinkId {
-        let (messages, _) = schedule_messages(&[(s, 0.0)]);
-        let out = PacketSim::new(NocConfig::paper_default())
-            .simulate(mesh, &messages)
+        let out = SimEngine::paper_default()
+            .staged(
+                |lowering| Ok(lowering.lower(s, 0.0)),
+                |messages, _| {
+                    Ok(PacketSim::new(NocConfig::paper_default()).simulate(mesh, messages)?)
+                },
+            )
             .unwrap();
         mesh.links()
             .map(|(_, _, l)| l)

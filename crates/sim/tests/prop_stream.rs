@@ -1,22 +1,22 @@
 //! Property sweep for the streaming fast path: over random mesh/torus
-//! shapes, algorithms, gradient sizes, and fault masks, the streamed
-//! schedule must be bit-identical to the materialized one — op for op at
-//! the collectives layer, and result for result (or error for error)
-//! through the full simulation pipeline.
+//! shapes, algorithms, gradient sizes, and fault masks, the streamed run
+//! must be bit-identical to the materialized one — result for result (or
+//! error for error) through the full simulation pipeline.
 
-use meshcoll_collectives::{Algorithm, ScheduleOptions, ScheduleStream};
+use meshcoll_collectives::{Algorithm, ScheduleOptions};
 use meshcoll_noc::NocConfig;
 use meshcoll_sim::SimEngine;
 use meshcoll_topo::Mesh;
 use proptest::prelude::*;
 
-const ALGOS: [Algorithm; 6] = [
+const ALGOS: [Algorithm; 7] = [
     Algorithm::Ring,
     Algorithm::RingBiEven,
     Algorithm::RingBiOdd,
     Algorithm::MultiTree,
     Algorithm::Tto,
-    Algorithm::DBTree, // exercises the replay fallback for non-native streamers
+    Algorithm::DBTree,
+    Algorithm::Ring2D,
 ];
 
 fn opts() -> ScheduleOptions {
@@ -29,64 +29,25 @@ fn opts() -> ScheduleOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The op sequence a [`ScheduleStream`] yields is the materialized
-    /// [`Schedule`], id for id, dep for dep, in emission order.
-    #[test]
-    fn streamed_ops_equal_materialized_on_random_shapes(
-        rows in 3usize..7,
-        cols in 3usize..7,
-        torus in 0usize..2,
-        algo in 0usize..ALGOS.len(),
-        data_kb in 16u64..256,
-    ) {
-        let mesh = if torus == 1 {
-            Mesh::torus(rows, cols).unwrap()
-        } else {
-            Mesh::new(rows, cols).unwrap()
-        };
-        let a = ALGOS[algo];
-        let d = data_kb * 1024;
-        let materialized = match a.schedule_with(&mesh, d, &opts()) {
-            Ok(s) => s,
-            Err(_) => {
-                // The stream constructor must reject exactly what the
-                // materialized constructor rejects.
-                prop_assert!(ScheduleStream::new(a, &mesh, d, &opts()).is_err());
-                return Ok(());
-            }
-        };
-        let stream = ScheduleStream::new(a, &mesh, d, &opts()).unwrap();
-        prop_assert_eq!(stream.participants(), materialized.participants());
-        let mut count = 0usize;
-        for (i, item) in stream.enumerate() {
-            let op = item.expect("mid-stream failure on a valid config");
-            let want = materialized.op(op.id);
-            prop_assert_eq!(op.id.index(), i);
-            prop_assert_eq!(op.src, want.src);
-            prop_assert_eq!(op.dst, want.dst);
-            prop_assert_eq!(op.offset, want.offset);
-            prop_assert_eq!(op.bytes, want.bytes);
-            prop_assert_eq!(op.kind, want.kind);
-            prop_assert_eq!(op.chunk, want.chunk);
-            prop_assert_eq!(op.deps.as_slice(), materialized.deps(op.id));
-            count += 1;
-        }
-        prop_assert_eq!(count, materialized.len());
-    }
-
     /// Through the engines — healthy or under a random static fault mask —
     /// the streamed run returns exactly what the materialized run returns:
     /// the same timing on success, the same diagnostic on failure.
     #[test]
     fn streamed_run_equals_materialized_under_fault_masks(
-        side in 3usize..7,
+        rows in 3usize..7,
+        cols in 3usize..7,
+        torus in 0usize..2,
         algo in 0usize..ALGOS.len(),
         data_kb in 16u64..128,
         dead_links in 0usize..3,
         degrade in 0usize..2,
         victim in 0usize..1024,
     ) {
-        let mesh = Mesh::square(side).unwrap();
+        let mesh = if torus == 1 {
+            Mesh::torus(rows, cols).unwrap()
+        } else {
+            Mesh::new(rows, cols).unwrap()
+        };
         let a = ALGOS[algo];
         let d = data_kb * 1024;
         if a.schedule_with(&mesh, d, &opts()).is_err() {
@@ -113,7 +74,7 @@ proptest! {
             (Err(m), Err(st)) => prop_assert_eq!(format!("{m:?}"), format!("{st:?}")),
             (m, st) => {
                 return Err(TestCaseError::fail(format!(
-                    "{a} on {side}x{side}: materialized {m:?} vs streamed {st:?}"
+                    "{a} on {mesh}: materialized {m:?} vs streamed {st:?}"
                 )));
             }
         }

@@ -39,7 +39,13 @@ fn engines_agree_on_tto_overlap() {
     // show pipelining (many chunks barely slower than few chunks of the
     // same total bytes would suggest serially).
     let mesh = Mesh::square(3).unwrap();
-    let s = meshcoll::collectives::tto::schedule_with(&mesh, 96 * 1024, 12 * 1024).unwrap();
+    let opts = meshcoll::collectives::ScheduleOptions {
+        tto_chunk_bytes: 12 * 1024,
+        ..Default::default()
+    };
+    let s = Algorithm::Tto
+        .schedule_with(&mesh, 96 * 1024, &opts)
+        .unwrap();
     let msgs = schedule_to_messages(&s);
     let cfg = NocConfig::paper_default();
     let pkt = PacketSim::new(cfg.clone()).run(&mesh, &msgs).unwrap();
